@@ -163,6 +163,72 @@ func TestWorkerEvalBitIdentical(t *testing.T) {
 	}
 }
 
+// TestWorkerSimsExactUnderOverlap runs two overlapping eval requests
+// that share one configuration. Each request's Sims must count only the
+// simulations it ran itself, so together they account exactly for the
+// worker's evaluator count and its cluster.worker_sims counter.
+func TestWorkerSimsExactUnderOverlap(t *testing.T) {
+	srv := newWorkerServer(t, cluster.WorkerOptions{Workers: 1})
+	const insts = 20000
+	healthz := func() (counter, evSims int) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var h struct {
+			Sims       int `json:"sims"`
+			Evaluators []struct {
+				Sims int `json:"sims"`
+			} `json:"evaluators"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range h.Evaluators {
+			evSims += e.Sims
+		}
+		return h.Sims, evSims
+	}
+	cfgs := evaltest.Configs(7)
+	bodies := make([]string, 2)
+	for i, part := range [][]design.Config{cfgs[:4], cfgs[3:]} {
+		req := cluster.EvalRequest{Benchmark: testBench, TraceLen: insts}
+		for _, c := range part {
+			req.Configs = append(req.Configs, cluster.FromConfig(c))
+		}
+		js, _ := json.Marshal(req)
+		bodies[i] = string(js)
+	}
+
+	counter0, ev0 := healthz()
+	ers := make([]cluster.EvalResponse, len(bodies))
+	errs := make(chan error, len(bodies))
+	for i, body := range bodies {
+		go func() {
+			resp, err := http.Post(srv.URL+"/v1/eval", "application/json", strings.NewReader(body))
+			if err == nil {
+				err = json.NewDecoder(resp.Body).Decode(&ers[i])
+				resp.Body.Close()
+			}
+			errs <- err
+		}()
+	}
+	for range bodies {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	counter1, ev1 := healthz()
+
+	sum := ers[0].Sims + ers[1].Sims
+	if sum != len(cfgs) || ev1-ev0 != sum || counter1-counter0 != sum {
+		t.Fatalf("request sims %d + %d = %d; evaluator delta %d, counter delta %d; want all %d",
+			ers[0].Sims, ers[1].Sims, sum, ev1-ev0, counter1-counter0, len(cfgs))
+	}
+}
+
 func TestWorkerRequestIDEcho(t *testing.T) {
 	srv := newWorkerServer(t, cluster.WorkerOptions{})
 	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/healthz", nil)

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"predperf/internal/core"
@@ -235,23 +236,30 @@ func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
 	cWorkerEvals.Inc()
 	cWorkerConfigs.Add(int64(len(cfgs)))
 	t0 := time.Now()
-	simsBefore := base.Simulations()
 	ctx := r.Context()
 	values := make([]float64, len(cfgs))
+	// Only this request's own simulator runs count: a configuration
+	// another request is simulating, or has simulated, is not this
+	// request's cost.
+	var ran atomic.Int64
 	par.For(par.Workers(w.opt.Workers), len(cfgs), func(i int) {
 		// A dead client stops costing simulation time at the next
 		// config boundary; already-filled slots are simply discarded.
 		if ctx.Err() != nil {
 			return
 		}
-		values[i] = ev.Eval(cfgs[i])
+		var did bool
+		values[i], did = ev.EvalRan(cfgs[i])
+		if did {
+			ran.Add(1)
+		}
 	})
+	sims := int(ran.Load())
+	cWorkerSims.Add(int64(sims))
 	if ctx.Err() != nil {
 		cWorkerErrors.Inc()
 		return // the client is gone; nothing can read the response
 	}
-	sims := base.Simulations() - simsBefore
-	cWorkerSims.Add(int64(sims))
 	hWorkerEval.With(req.Benchmark).Observe(time.Since(t0).Seconds())
 	resp := EvalResponse{Values: values, Sims: sims, Worker: w.ID()}
 	// A traced caller gets this request's span forest back in the body;

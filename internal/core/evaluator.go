@@ -145,9 +145,10 @@ func (e *SimEvaluator) WithMetric(m Metric) *SimEvaluator {
 // resolve returns the simulator machine description for cfg together
 // with its memoized result, constructing the machine description exactly
 // once per call (the metric accessors below reuse it). Concurrent misses
-// on the same configuration single-flight through the entry's Once.
-func (e *SimEvaluator) resolve(cfg design.Config) (sim.Config, sim.Result) {
-	sc := sim.FromDesign(cfg)
+// on the same configuration single-flight through the entry's Once; ran
+// reports whether this call is the one that ran the simulator.
+func (e *SimEvaluator) resolve(cfg design.Config) (sc sim.Config, res sim.Result, ran bool) {
+	sc = sim.FromDesign(cfg)
 	sc.WarmupInsts = e.TraceLen / 5 // discard cold-start statistics
 	key := cfg.Key()
 	st := e.state
@@ -176,24 +177,34 @@ func (e *SimEvaluator) resolve(cfg design.Config) (sim.Config, sim.Result) {
 		st.mu.Lock()
 		st.sims++
 		st.mu.Unlock()
+		ran = true
 	})
-	return sc, ent.res
+	return sc, ent.res, ran
 }
 
 // Eval returns the configured metric for cfg, running the simulator on
 // a cache miss.
 func (e *SimEvaluator) Eval(cfg design.Config) float64 {
+	v, _ := e.EvalRan(cfg)
+	return v
+}
+
+// EvalRan is Eval that also reports whether this call ran the
+// simulator, as opposed to reading the cache or waiting on a concurrent
+// call's run of the same configuration. Callers that share the
+// evaluator count their own simulations with it exactly.
+func (e *SimEvaluator) EvalRan(cfg design.Config) (v float64, ran bool) {
 	cEvals.Inc()
-	sc, res := e.resolve(cfg)
+	sc, res, ran := e.resolve(cfg)
 	switch e.Metric {
 	case MetricEPI:
-		return res.EPI(sc) / 1000 // nJ
+		return res.EPI(sc) / 1000, ran // nJ
 	case MetricEDP:
-		return res.EDP(sc) / 1000 // nJ·cycles
+		return res.EDP(sc) / 1000, ran // nJ·cycles
 	case MetricPower:
-		return res.AvgPowerW(sc, 2.0)
+		return res.AvgPowerW(sc, 2.0), ran
 	default:
-		return res.CPI()
+		return res.CPI(), ran
 	}
 }
 
@@ -208,7 +219,7 @@ func (e *SimEvaluator) Simulations() int {
 // Detail returns the full simulator statistics at cfg (memoized; used
 // by diagnostics such as the response-surface study of Figure 1).
 func (e *SimEvaluator) Detail(cfg design.Config) sim.Result {
-	_, res := e.resolve(cfg)
+	_, res, _ := e.resolve(cfg)
 	return res
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"predperf/internal/sim/branch"
@@ -52,34 +51,6 @@ type fqEntry struct {
 	predOK   bool
 }
 
-// readyItem orders ready instructions oldest-first for issue.
-type readyItem struct {
-	seq  uint64
-	slot int32
-}
-
-type readyHeap []readyItem
-
-func (h readyHeap) Len() int            { return len(h) }
-func (h readyHeap) Less(i, j int) bool  { return h[i].seq < h[j].seq }
-func (h readyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x interface{}) { *h = append(*h, x.(readyItem)) }
-func (h *readyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// event is a scheduled completion.
-type event struct {
-	slot int32
-	seq  uint64
-}
-
-const wheelBits = 15 // event wheel spans 32k cycles; overflow goes to a map
-
 // inflightFill tracks an outstanding L1D line fill (an MSHR).
 type inflightFill struct {
 	line uint64
@@ -111,8 +82,7 @@ type cpu struct {
 	fetchStallUntil uint64
 	fetchBlocked    bool
 	lastFetchLine   uint64
-	fq              []fqEntry
-	fqCap           int
+	fq              ring[fqEntry]
 
 	// Back end.
 	rob      []robEntry
@@ -128,12 +98,10 @@ type cpu struct {
 	intDivBusy uint64
 	fpDivBusy  uint64
 
-	// Event wheel.
-	wheel    [1 << wheelBits][]event
-	overflow map[uint64][]event
+	events eventWheel
 
-	// Store queue for forwarding.
-	storeQ []storeRef
+	// Store queue for forwarding, oldest first.
+	storeQ ring[storeRef]
 
 	committed int
 	warmup    int    // commits before statistics start
@@ -156,10 +124,12 @@ func Run(cfg Config, tr trace.Trace) Result {
 		l2:            cache.New(cfg.L2),
 		memc:          mem.New(cfg.Mem),
 		bp:            branch.New(cfg.Branch),
+		mshrs:         make([]inflightFill, 0, cfg.MSHRs),
+		fq:            newRing[fqEntry](cfg.FetchWidth * (cfg.PipeDepth + 2)),
 		rob:           make([]robEntry, cfg.ROBSize),
-		fqCap:         cfg.FetchWidth * (cfg.PipeDepth + 2),
+		ready:         make(readyHeap, 0, cfg.IQSize),
+		storeQ:        newRing[storeRef](cfg.LSQSize),
 		lastFetchLine: ^uint64(0),
-		overflow:      map[uint64][]event{},
 		seqGen:        1,
 	}
 	warm := cfg.WarmupInsts
@@ -223,44 +193,44 @@ func (c *cpu) schedule(at uint64, slot int32, seq uint64) {
 	if at <= c.now {
 		at = c.now + 1
 	}
-	if at-c.now < 1<<wheelBits {
-		idx := at & ((1 << wheelBits) - 1)
-		c.wheel[idx] = append(c.wheel[idx], event{slot, seq})
-	} else {
-		c.overflow[at] = append(c.overflow[at], event{slot, seq})
-	}
+	c.events.schedule(c.now, at, event{slot, seq})
 }
 
 // completions processes every event due this cycle: instructions finish
 // execution, wake their dependents, and branches resolve.
 func (c *cpu) completions() {
-	idx := c.now & ((1 << wheelBits) - 1)
-	evs := c.wheel[idx]
-	c.wheel[idx] = nil
-	if ov, ok := c.overflow[c.now]; ok {
-		evs = append(evs, ov...)
-		delete(c.overflow, c.now)
+	for n := c.events.take(c.now); n != 0; {
+		var ev event
+		ev, n = c.events.next(n)
+		c.complete(ev)
 	}
-	for _, ev := range evs {
-		e := &c.rob[ev.slot]
-		if e.seq != ev.seq || e.state != stIssued {
-			continue // squashed
+	for _, ev := range c.events.takeOverflow(c.now) {
+		c.complete(ev)
+	}
+}
+
+// complete finishes one instruction's execution.
+func (c *cpu) complete(ev event) {
+	e := &c.rob[ev.slot]
+	if e.seq != ev.seq || e.state != stIssued {
+		return // squashed
+	}
+	e.state = stDone
+	for _, d := range e.dependents {
+		de := &c.rob[d.slot]
+		if de.seq != d.seq || de.state != stWaiting {
+			continue
 		}
-		e.state = stDone
-		for _, d := range e.dependents {
-			de := &c.rob[d.slot]
-			if de.seq != d.seq || de.state != stWaiting {
-				continue
-			}
-			de.notReady--
-			if de.notReady == 0 {
-				heap.Push(&c.ready, readyItem{seq: de.seq, slot: d.slot})
-			}
+		de.notReady--
+		if de.notReady == 0 {
+			c.ready.push(readyItem{seq: de.seq, slot: d.slot})
 		}
-		e.dependents = nil
-		if e.op == trace.Branch {
-			c.resolveBranch(ev.slot)
-		}
+	}
+	// Keep the backing array for the slot's next occupant: a completed
+	// entry takes no further dependents.
+	e.dependents = e.dependents[:0]
+	if e.op == trace.Branch {
+		c.resolveBranch(ev.slot)
 	}
 }
 
@@ -284,9 +254,9 @@ func (c *cpu) resolveBranch(slot int32) {
 	// the (empty) front-end queue. Assert the invariant rather than
 	// carrying dead squash machinery.
 	pos := (int(slot) - c.robHead + len(c.rob)) % len(c.rob)
-	if c.robCount != pos+1 || len(c.fq) != 0 {
+	if c.robCount != pos+1 || c.fq.len() != 0 {
 		panic(fmt.Sprintf("sim: wrong-path state at mispredict resolve: robCount=%d pos=%d fq=%d",
-			c.robCount, pos, len(c.fq)))
+			c.robCount, pos, c.fq.len()))
 	}
 	c.fetchIdx = e.traceIdx + 1
 	c.fetchBlocked = false
@@ -304,10 +274,10 @@ func (c *cpu) commit() {
 		}
 		if e.op == trace.Store {
 			c.storeCommit(e.addr)
-			if len(c.storeQ) == 0 || c.storeQ[0].seq != e.seq {
+			if c.storeQ.len() == 0 || c.storeQ.at(0).seq != e.seq {
 				panic("sim: store queue out of sync with commit order")
 			}
-			c.storeQ = c.storeQ[1:]
+			c.storeQ.popFront()
 		}
 		if e.op.IsMem() {
 			c.lsqCount--
@@ -358,8 +328,8 @@ func (c *cpu) issue() {
 	memLeft := c.cfg.MemPorts
 	c.stash = c.stash[:0]
 	budget := c.cfg.IssueWidth
-	for budget > 0 && c.ready.Len() > 0 {
-		item := heap.Pop(&c.ready).(readyItem)
+	for budget > 0 && len(c.ready) > 0 {
+		item := c.ready.pop()
 		e := &c.rob[item.slot]
 		if e.seq != item.seq || e.state != stWaiting {
 			continue // squashed or stale
@@ -437,7 +407,7 @@ func (c *cpu) issue() {
 		budget--
 	}
 	for _, it := range c.stash {
-		heap.Push(&c.ready, it)
+		c.ready.push(it)
 	}
 }
 
@@ -447,8 +417,8 @@ func (c *cpu) issue() {
 func (c *cpu) loadIssue(e *robEntry) (done uint64, ok bool) {
 	// Store-to-load forwarding from the youngest older store to the
 	// same address.
-	for i := len(c.storeQ) - 1; i >= 0; i-- {
-		s := c.storeQ[i]
+	for i := c.storeQ.len() - 1; i >= 0; i-- {
+		s := c.storeQ.at(i)
 		if s.seq < e.seq && s.addr == e.addr {
 			c.res.LoadForwards++
 			return c.now + 1, true
@@ -496,7 +466,7 @@ func (c *cpu) loadIssue(e *robEntry) (done uint64, ok bool) {
 // ROB, issue queue, and LSQ, resolving their data dependencies.
 func (c *cpu) dispatch() {
 	for budget := c.cfg.FetchWidth; budget > 0; budget-- {
-		if len(c.fq) == 0 || c.fq[0].readyAt > c.now {
+		if c.fq.len() == 0 || c.fq.at(0).readyAt > c.now {
 			return
 		}
 		if c.robCount == len(c.rob) {
@@ -507,28 +477,31 @@ func (c *cpu) dispatch() {
 			c.res.IQStallCycles++
 			return
 		}
-		f := c.fq[0]
+		f := *c.fq.at(0)
 		in := &c.tr[f.traceIdx]
 		if in.Op.IsMem() && c.lsqCount == c.cfg.LSQSize {
 			c.res.LSQStallCycles++
 			return
 		}
-		c.fq = c.fq[1:]
+		c.fq.popFront()
 
 		slot := int32((c.robHead + c.robCount) % len(c.rob))
 		c.seqGen++
 		e := &c.rob[slot]
+		// The slot's previous occupant left its dependent list empty;
+		// reuse its backing array.
 		*e = robEntry{
-			seq:      c.seqGen,
-			traceIdx: f.traceIdx,
-			pc:       in.PC,
-			addr:     in.Addr,
-			op:       in.Op,
-			state:    stWaiting,
-			bpCP:     f.bpCP,
-			predOK:   f.predOK,
-			taken:    in.Taken,
-			target:   in.Target,
+			seq:        c.seqGen,
+			traceIdx:   f.traceIdx,
+			pc:         in.PC,
+			addr:       in.Addr,
+			op:         in.Op,
+			state:      stWaiting,
+			bpCP:       f.bpCP,
+			predOK:     f.predOK,
+			taken:      in.Taken,
+			target:     in.Target,
+			dependents: e.dependents[:0],
 		}
 		headTraceIdx := f.traceIdx - c.robCount // oldest in-flight trace index
 		if c.robCount > 0 {
@@ -559,10 +532,10 @@ func (c *cpu) dispatch() {
 			c.lsqCount++
 		}
 		if in.Op == trace.Store {
-			c.storeQ = append(c.storeQ, storeRef{seq: e.seq, addr: e.addr})
+			c.storeQ.push(storeRef{seq: e.seq, addr: e.addr})
 		}
 		if e.notReady == 0 {
-			heap.Push(&c.ready, readyItem{seq: e.seq, slot: slot})
+			c.ready.push(readyItem{seq: e.seq, slot: slot})
 		}
 	}
 }
@@ -581,7 +554,7 @@ func (c *cpu) fetch() {
 		return
 	}
 	for budget := c.cfg.FetchWidth; budget > 0; budget-- {
-		if len(c.fq) >= c.fqCap || c.fetchIdx >= len(c.tr) {
+		if c.fq.full() || c.fetchIdx >= len(c.tr) {
 			return
 		}
 		in := &c.tr[c.fetchIdx]
@@ -609,7 +582,7 @@ func (c *cpu) fetch() {
 					f.predOK = false
 				}
 			}
-			c.fq = append(c.fq, f)
+			c.fq.push(f)
 			c.fetchIdx++
 			if !f.predOK {
 				c.fetchBlocked = true
@@ -620,7 +593,7 @@ func (c *cpu) fetch() {
 			}
 			continue
 		}
-		c.fq = append(c.fq, f)
+		c.fq.push(f)
 		c.fetchIdx++
 	}
 }

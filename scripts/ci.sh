@@ -24,6 +24,11 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== simulator determinism on one core =="
+# The golden Result digest and the simulator invariants must hold with
+# a single scheduler thread too, not only at the host's core count.
+GOMAXPROCS=1 go test -count=1 -run 'TestResultGolden|TestSimInvariants' ./internal/sim
+
 echo "== benchmark smoke (1 iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
