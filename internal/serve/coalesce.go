@@ -182,10 +182,12 @@ func (c *coalescer) flush(batch []coalesceReq, reason string) {
 			cfgs[a] = batch[i].cfg
 		}
 		preds := c.eval(e, cfgs)
+		// Count before fanning out, so a requester that has its answer
+		// also sees it counted.
+		cCoalesced.Add(int64(len(idx)))
 		for a, i := range idx {
 			batch[i].done <- preds[a]
 		}
-		cCoalesced.Add(int64(len(idx)))
 	}
 }
 
