@@ -7,17 +7,17 @@
 //     the hoist on its own);
 //   - vectorized: the compiled SoA evaluator (rbf.Compiled), one
 //     blocked design-matrix pass per batch;
-//   - coalesced: concurrent single HTTP /v1/predict requests against an
-//     in-process predserve handler with micro-batch coalescing on, so
-//     the measured rate includes admission, batching, and fan-back.
+//   - http-single: concurrent single HTTP /v1/predict requests against
+//     an in-process predserve handler with its LRU cache off, so the
+//     measured rate is the direct path a single prediction takes in
+//     production: HTTP, decode, quantize, scalar evaluation, encode.
 //
 // Every leg is checked bit-for-bit against the scalar path before any
 // timing is reported: the three paths are the same arithmetic in a
 // different loop order, and the report says so explicitly.
 //
-// Batch size doubles as the concurrency of the coalesced leg — a batch
-// of 64 means 64 goroutines posting singles, which is the traffic shape
-// the coalescer turns back into one vectorized call.
+// Batch size doubles as the concurrency of the http-single leg — a
+// batch of 64 means 64 goroutines posting singles at once.
 package main
 
 import (
@@ -48,7 +48,7 @@ type Report struct {
 	Config  Config        `json:"config"`
 	Batches []BatchResult `json:"batches"`
 	// BitIdentical: scalar (hoisted and unhoisted), vectorized, and
-	// coalesced-HTTP values all matched bit for bit on every input.
+	// HTTP-single values all matched bit for bit on every input.
 	BitIdentical bool `json:"bit_identical_all_paths"`
 }
 
@@ -79,7 +79,7 @@ type BatchResult struct {
 	ScalarNoHoistOps float64 `json:"scalar_nohoist_ops_per_sec"`
 	ScalarOps        float64 `json:"scalar_ops_per_sec"`
 	VectorizedOps    float64 `json:"vectorized_ops_per_sec"`
-	CoalescedOps     float64 `json:"coalesced_ops_per_sec"`
+	HTTPSingleOps    float64 `json:"http_single_ops_per_sec"`
 	// RatioVectorizedOverScalar > 1 means the blocked batch pass beat
 	// per-point evaluation at this batch size.
 	RatioVectorizedOverScalar float64 `json:"ratio_vectorized_over_scalar"`
@@ -106,9 +106,9 @@ func main() {
 	insts := flag.Int("insts", 30_000, "trace length in dynamic instructions")
 	size := flag.Int("sample", 60, "training sample size")
 	cands := flag.Int("lhs", 16, "latin hypercube candidates")
-	batches := flag.String("batches", "1,8,64,512", "comma-separated batch sizes (doubles as coalesced-leg concurrency)")
+	batches := flag.String("batches", "1,8,64,512", "comma-separated batch sizes (doubles as http-single-leg concurrency)")
 	minTime := flag.Duration("mintime", 200*time.Millisecond, "minimum measurement time per in-process leg")
-	httpReqs := flag.Int("http-iters", 20, "requests per worker in the coalesced HTTP leg")
+	httpReqs := flag.Int("http-iters", 20, "requests per worker in the http-single leg")
 	outFile := flag.String("out", "BENCH_predict.json", "report destination")
 	flag.Parse()
 
@@ -173,13 +173,9 @@ func main() {
 		log.Fatal("evaluation paths disagree before timing — refusing to benchmark")
 	}
 
-	// The coalesced leg's server: LRU cache disabled so every request
-	// pays for real evaluation, coalescing on with the default window.
-	srv := serve.New(serve.Options{
-		CacheSize:      -1,
-		CoalesceWindow: time.Millisecond,
-		CoalesceMax:    64,
-	})
+	// The http-single leg's server: LRU cache disabled so every request
+	// pays for real evaluation.
+	srv := serve.New(serve.Options{CacheSize: -1})
 	if err := srv.Registry().Add(m.Name, m, ""); err != nil {
 		log.Fatal(err)
 	}
@@ -227,7 +223,7 @@ func main() {
 			cm.PredictBatchTo(out[:n], xs[:n])
 		})
 		ok := true
-		br.CoalescedOps = coalescedRate(ts.URL, bodies[:n], want[:n], *httpReqs, &ok)
+		br.HTTPSingleOps = httpSingleRate(ts.URL, bodies[:n], want[:n], *httpReqs, &ok)
 		if !ok {
 			rep.BitIdentical = false
 		}
@@ -238,12 +234,12 @@ func main() {
 			br.RatioScalarOverNoHoist = br.ScalarOps / br.ScalarNoHoistOps
 		}
 		rep.Batches = append(rep.Batches, br)
-		fmt.Printf("batch %4d: nohoist %.3gM/s  scalar %.3gM/s  vectorized %.3gM/s (%.2fx)  coalesced-http %.3g/s\n",
+		fmt.Printf("batch %4d: nohoist %.3gM/s  scalar %.3gM/s  vectorized %.3gM/s (%.2fx)  http-single %.3g/s\n",
 			n, br.ScalarNoHoistOps/1e6, br.ScalarOps/1e6, br.VectorizedOps/1e6,
-			br.RatioVectorizedOverScalar, br.CoalescedOps)
+			br.RatioVectorizedOverScalar, br.HTTPSingleOps)
 	}
 	if !rep.BitIdentical {
-		log.Fatal("coalesced HTTP responses diverged from the scalar path")
+		log.Fatal("HTTP single responses diverged from the scalar path")
 	}
 
 	f, err := os.Create(*outFile)
@@ -261,11 +257,11 @@ func main() {
 	fmt.Printf("all paths bit-identical; report written to %s\n", *outFile)
 }
 
-// coalescedRate runs len(bodies) workers, each posting its single
+// httpSingleRate runs len(bodies) workers, each posting its single
 // configuration reqs times, and returns predictions per second. Every
 // response value is checked against the scalar reference; a mismatch
 // (or any non-200) clears *ok.
-func coalescedRate(url string, bodies []string, want []float64, reqs int, ok *bool) float64 {
+func httpSingleRate(url string, bodies []string, want []float64, reqs int, ok *bool) float64 {
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        len(bodies) + 10,
 		MaxIdleConnsPerHost: len(bodies) + 10,

@@ -23,12 +23,9 @@
 // latency histograms, and spans as JSON, or as Prometheus text with
 // ?format=prom; -pprof serves net/http/pprof on a side address.
 //
-// Concurrent single predictions are coalesced into micro-batches
-// (-coalesce-window, default 1ms; -coalesce-max per flush) and scored
-// with one vectorized RBF evaluation, bit-identical to evaluating them
-// alone; explicit batch requests go straight to the vectorized path.
-// A full admission queue (-coalesce-queue) answers a structured 503
-// (coalesce_queue_full) immediately.
+// A single prediction is scored directly by the RBF network; an
+// explicit batch request goes to the vectorized evaluator, which
+// answers bit-identically to scoring its configurations one at a time.
 //
 // Operational endpoints beyond /healthz: /readyz answers 503 with
 // structured reasons while the registry is empty, an SLO burn rate
@@ -115,9 +112,6 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
 	maxBody := flag.Int64("max-body", 1<<20, "request body size limit in bytes")
 	maxBatch := flag.Int("max-batch", 4096, "configurations allowed in one predict request")
-	coalesceWindow := flag.Duration("coalesce-window", time.Millisecond, "micro-batch window: concurrent single predictions arriving within it share one vectorized evaluation (0 disables coalescing)")
-	coalesceMax := flag.Int("coalesce-max", 64, "flush a coalesced micro-batch as soon as it holds this many configurations")
-	coalesceQueue := flag.Int("coalesce-queue", 4096, "coalescer admission-queue capacity; a full queue answers 503 coalesce_queue_full immediately")
 	searchInsts := flag.Int("search-insts", 50_000, "trace length for simulator-verified /v1/search")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 	progress := flag.Bool("progress", false, "print periodic request counters to stderr")
@@ -213,9 +207,6 @@ func main() {
 		CacheSize:      *cacheSize,
 		Workers:        *workers,
 		MaxBatch:       *maxBatch,
-		CoalesceWindow: *coalesceWindow,
-		CoalesceMax:    *coalesceMax,
-		CoalesceQueue:  *coalesceQueue,
 		SearchTraceLen: *searchInsts,
 		ModelDir:       *modelsDir,
 		AccessLog:      accessW,

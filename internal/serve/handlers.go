@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"predperf/internal/cluster"
 	"predperf/internal/core"
 	"predperf/internal/design"
 	"predperf/internal/obs"
@@ -324,38 +323,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	cModelPredictions.With(req.Model).Add(int64(len(batch)))
 	var preds []prediction
 	if len(batch) == 1 {
-		// A single prediction never pays worker-pool dispatch: it goes
-		// through the coalescer when one is running — concurrent
-		// singles then share one vectorized evaluation — and straight
-		// to predictOne otherwise. Both routes are bit-identical.
-		var p prediction
-		if s.coalesce.enabled() {
-			var err error
-			p, err = s.coalesce.predict(r.Context(), entry, batch[0].config())
-			switch {
-			case errors.Is(err, ErrCoalesceQueueFull):
-				// The queue drains within a coalesce window plus one batch
-				// evaluation; hint a retry after that, not a fixed second.
-				w.Header().Set("Retry-After", cluster.RetryAfterSeconds(s.opt.CoalesceWindow))
-				writeErr(w, http.StatusServiceUnavailable, "coalesce_queue_full",
-					"the prediction admission queue is full; retry shortly")
-				return
-			case errors.Is(err, ErrCoalesceStopped):
-				writeErr(w, http.StatusServiceUnavailable, "shutting_down",
-					"the server is draining and no longer accepts predictions")
-				return
-			case err != nil: // the request's own context died while queued
-				writeErr(w, http.StatusServiceUnavailable, "request_canceled",
-					"request canceled while queued for coalescing: %v", err)
-				return
-			}
-		} else {
-			p = s.predictOne(entry, batch[0].config())
-		}
-		preds = []prediction{p}
+		// A single prediction never pays worker-pool dispatch.
+		preds = []prediction{s.predictOne(entry, batch[0].config())}
 	} else {
-		// Explicit batches skip the coalescer: they already have batch
-		// shape, so they go straight to the vectorized evaluator.
 		cfgs := make([]design.Config, len(batch))
 		for i, wc := range batch {
 			cfgs[i] = wc.config()
@@ -411,7 +381,8 @@ const predictBatchChunk = 256
 // slots, so results are deterministic). Per-config semantics are
 // identical to predictOne — same quantization, cache keys, generation
 // handling, and shadow sampling — and the values are bit-identical to
-// the scalar path, so the coalescer and explicit batches can share it.
+// the scalar path, so a batch answers exactly what its configurations
+// would answer one at a time.
 func (s *Server) predictBatch(e *Entry, cfgs []design.Config) []prediction {
 	m := e.Model
 	preds := make([]prediction, len(cfgs))

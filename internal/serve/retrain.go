@@ -487,7 +487,7 @@ func (c *retrainController) wait() {
 // stop refuses new retrains, cancels the escalation (which stops at the
 // next sample-size boundary), and waits for in-flight attempts to wind
 // down. Called by Server.Shutdown after the HTTP drain, before the
-// coalescer and shadow workers stop.
+// shadow workers stop.
 func (c *retrainController) stop() {
 	if !c.enabled() {
 		return

@@ -18,10 +18,10 @@
 // LRU prediction cache keyed on (model, quantized config), vectorized
 // batch evaluation (one blocked design-matrix pass per batch via
 // rbf.Compiled, chunked over the internal/par pool for large batches),
-// micro-batch coalescing of concurrent single predictions (Options.
-// CoalesceWindow), request-size limits, per-request timeouts,
-// structured JSON errors, and graceful shutdown (drain with a
-// deadline).
+// request-size limits, per-request timeouts, structured JSON errors,
+// and graceful shutdown (drain with a deadline). A single prediction
+// takes the scalar path straight to the RBF network: one evaluation
+// costs well under a microsecond, far less than the HTTP hop around it.
 //
 // Every incoming configuration is validated and then clamped/quantized
 // through the model's design.Space exactly as at training time
@@ -74,20 +74,6 @@ type Options struct {
 	// MaxBatch bounds the number of configurations in one predict
 	// request (default 4096).
 	MaxBatch int
-	// CoalesceWindow bounds how long a single prediction may wait for
-	// companions before its micro-batch is flushed. Concurrent single
-	// requests inside one window share a single vectorized model
-	// evaluation, bit-identical to evaluating them alone. 0 (the
-	// default) disables coalescing; cmd/predserve turns it on at 1ms.
-	CoalesceWindow time.Duration
-	// CoalesceMax flushes a micro-batch as soon as it holds this many
-	// configurations, without waiting out the window (default 64).
-	CoalesceMax int
-	// CoalesceQueue bounds the coalescer's admission queue; a full
-	// queue answers a structured 503 (coalesce_queue_full) immediately
-	// instead of blocking the handler toward its deadline (default
-	// 4096).
-	CoalesceQueue int
 	// SearchTraceLen is the trace length used when /v1/search verifies
 	// its shortlist with the simulator (default 50k instructions).
 	SearchTraceLen int
@@ -209,12 +195,6 @@ func (o Options) withDefaults() Options {
 	if o.SearchTraceLen <= 0 {
 		o.SearchTraceLen = 50_000
 	}
-	if o.CoalesceMax <= 0 {
-		o.CoalesceMax = 64
-	}
-	if o.CoalesceQueue <= 0 {
-		o.CoalesceQueue = 4096
-	}
 	if o.Clock == nil {
 		o.Clock = time.Now
 	}
@@ -294,7 +274,6 @@ type Server struct {
 	slos     []*obs.SLO
 	alerts   *obs.AlertSet
 	shadow   *shadowMonitor
-	coalesce *coalescer
 	retrain  *retrainController
 
 	// Distributed tracing: the edge head-sampler (burn-adaptive when
@@ -366,7 +345,6 @@ func New(opt Options) *Server {
 	}
 	s.alerts = obs.NewAlertSet(s.clock)
 	s.shadow = newShadowMonitor(opt, s.clock)
-	s.coalesce = newCoalescer(opt.CoalesceWindow, opt.CoalesceMax, opt.CoalesceQueue, s.predictBatch)
 	s.retrain = newRetrainController(opt, s.reg, s.shadow, s.clock)
 	s.retrain.traces = s.traces
 	if opt.Retrain {
@@ -482,14 +460,11 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Shutdown drains in-flight requests, waiting at most deadline before
 // giving up on stragglers, then stops the retrain controller (cancels
-// the escalation, waits for in-flight attempts), then the coalescer
-// dispatcher (which evaluates everything already queued), then the
-// shadow workers (which finish their in-flight simulations) — in that
-// order, because the coalescer's final flush feeds the shadow queue.
-// New connections are refused immediately. Handlers that outlive the
-// drain deadline remain safe: enqueueing into a stopped coalescer
-// answers a structured 503, and offering to the stopped shadow monitor
-// drops the sample and counts it.
+// the escalation, waits for in-flight attempts), then the shadow
+// workers (which finish their in-flight simulations). New connections
+// are refused immediately. Handlers that outlive the drain deadline
+// remain safe: offering to the stopped shadow monitor drops the sample
+// and counts it.
 func (s *Server) Shutdown(deadline time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
@@ -500,7 +475,6 @@ func (s *Server) Shutdown(deadline time.Duration) error {
 		s.adaptStop = nil
 	}
 	s.retrain.stop()
-	s.coalesce.stop()
 	s.shadow.stop()
 	return err
 }

@@ -29,6 +29,11 @@ echo "== simulator determinism on one core =="
 # a single scheduler thread too, not only at the host's core count.
 GOMAXPROCS=1 go test -count=1 -run 'TestResultGolden|TestSimInvariants' ./internal/sim
 
+echo "== fuzz /v1/predict bodies =="
+# Arbitrary request bodies must never panic the handler, must answer
+# 200/400/404/413, and every 200 must be bit-identical to the model.
+go test -run=NONE -fuzz=FuzzPredictBody -fuzztime=10s ./internal/serve
+
 echo "== benchmark smoke (1 iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -57,7 +62,6 @@ mkdir "$smoke_dir/models"
 "$smoke_dir/predserve" -addr 127.0.0.1:0 -models "$smoke_dir/models" \
     -shadow-frac 1.0 -shadow-workers 1 -search-insts 2000 \
     -slo-latency 250ms -slo-availability 0.999 \
-    -coalesce-window 5ms -coalesce-max 64 \
     > "$smoke_dir/predserve.log" 2>&1 &
 smoke_pid=$!
 addr=""
@@ -125,11 +129,11 @@ grep -q 'mcf' "$smoke_dir/statusz.html"
 # resolved above).
 curl -fsS "http://$addr/alertz" | grep -q '"alerts"'
 curl -fsS "http://$addr/alertz" | grep -q '"no_models"'
-# Coalescing: concurrent single predictions (admitted through the
-# micro-batch coalescer) and one direct batch over the same fresh
-# configurations must produce byte-for-byte identical values. The batch
-# response preserves request order, so concatenating the single values
-# in send order must reproduce it exactly.
+# Concurrent single predictions (the scalar path) and one batch over the
+# same fresh configurations (the vectorized path) must produce
+# byte-for-byte identical values. The batch response preserves request
+# order, so concatenating the single values in send order must
+# reproduce it exactly.
 cfg_a='{"depth":18,"rob":64,"iq":32,"lsq":32,"l2kb":1024,"l2lat":12,"il1kb":16,"dl1kb":16,"dl1lat":1}'
 cfg_b='{"depth":24,"rob":128,"iq":64,"lsq":64,"l2kb":4096,"l2lat":16,"il1kb":64,"dl1kb":64,"dl1lat":4}'
 curl -fsS -X POST "http://$addr/v1/predict" \
@@ -144,15 +148,15 @@ curl -fsS -X POST "http://$addr/v1/predict" \
 vals_single=$(grep -h -o '"value": [^,}]*' "$smoke_dir/single_a.json" "$smoke_dir/single_b.json")
 vals_batch=$(grep -h -o '"value": [^,}]*' "$smoke_dir/batch.json")
 if [ -z "$vals_batch" ] || [ "$vals_single" != "$vals_batch" ]; then
-    echo "coalesced singles and direct batch disagree:" >&2
+    echo "scalar singles and vectorized batch disagree:" >&2
     echo "singles: $vals_single" >&2
     echo "batch:   $vals_batch" >&2
     exit 1
 fi
-# The coalescer's flush counter must show up in the Prometheus export
-# (fetched to a file: grep -q on a pipe + pipefail trips curl EPIPE).
+# The predict counter must show up in the Prometheus export (fetched
+# to a file: grep -q on a pipe + pipefail trips curl EPIPE).
 curl -fsS "http://$addr/metricz?format=prom" > "$smoke_dir/metricz.prom"
-grep -q 'serve_coalesce_flushes' "$smoke_dir/metricz.prom"
+grep -q '^serve_predicts ' "$smoke_dir/metricz.prom"
 kill -TERM "$smoke_pid"
 wait "$smoke_pid"   # non-zero (unclean drain) fails the gate via set -e
 smoke_pid=""
@@ -491,6 +495,7 @@ go run ./cmd/benchpredict -insts 2000 -sample 12 -lhs 4 -mintime 10ms \
     -http-iters 2 -batches 1,4 -out "$smoke_dir/BENCH_predict.json" > /dev/null
 grep -q '"vectorized_ops_per_sec"' "$smoke_dir/BENCH_predict.json"
 grep -q '"ratio_vectorized_over_scalar"' "$smoke_dir/BENCH_predict.json"
+grep -q '"http_single_ops_per_sec"' "$smoke_dir/BENCH_predict.json"
 grep -q '"bit_identical_all_paths": true' "$smoke_dir/BENCH_predict.json"
 
 echo "CI gate passed."
