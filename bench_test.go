@@ -9,6 +9,7 @@
 package predperf_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -258,7 +259,10 @@ func BenchmarkParallelPipeline(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ts := core.NewTestSetWorkers(ev, nil, 20, 80, bc.workers)
+				ts, err := core.NewTestSetWorkers(context.Background(), ev, nil, 20, 80, bc.workers)
+				if err != nil {
+					b.Fatal(err)
+				}
 				m.Validate(ts)
 			}
 		})

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -170,10 +171,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	want := make([]float64, len(cfgs))
-	for i, c := range cfgs {
-		want[i] = ref.Eval(c)
-	}
+	ctx := context.Background()
+	want, _ := ref.Eval(ctx, cfgs) // an in-process simulator fails only on a done ctx
 
 	// Bit-identity gate: a fresh 2-worker farm must reproduce every
 	// value exactly before anything is timed.
@@ -182,7 +181,7 @@ func main() {
 		log.Fatal(err)
 	}
 	remote := cluster.NewRemoteEvaluator(pool, *bench, *insts, cluster.RemoteOptions{})
-	got, err := remote.EvalBatch(cfgs)
+	got, err := remote.Eval(ctx, cfgs)
 	stop()
 	if err != nil {
 		log.Fatalf("identity gate: %v", err)
@@ -215,7 +214,7 @@ func main() {
 		log.Fatal(err)
 	}
 	t0 := time.Now()
-	par.For(par.Workers(0), len(cfgs), func(i int) { localEv.Eval(cfgs[i]) })
+	par.For(par.Workers(0), len(cfgs), func(i int) { localEv.EvalRan(cfgs[i]) })
 	rep.Local.Seconds = time.Since(t0).Seconds()
 	rep.Local.ConfigsPerSec = float64(len(cfgs)) / rep.Local.Seconds
 	fmt.Printf("local: %.0f configs/s\n", rep.Local.ConfigsPerSec)
@@ -229,7 +228,7 @@ func main() {
 		}
 		remote := cluster.NewRemoteEvaluator(pool, *bench, *insts, cluster.RemoteOptions{})
 		t0 := time.Now()
-		if _, err := remote.EvalBatch(cfgs); err != nil {
+		if _, err := remote.Eval(ctx, cfgs); err != nil {
 			log.Fatalf("remote leg (%d workers): %v", w, err)
 		}
 		leg := RemoteLeg{Workers: w}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -127,7 +128,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ts := core.NewTestSetWorkers(ev, nil, *testN, 80, workers)
+		ts, _ := core.NewTestSetWorkers(context.Background(), ev, nil, *testN, 80, workers) // fails only on a done ctx
 		return m, m.Validate(ts)
 	}
 
@@ -170,7 +171,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			core.NewTestSetWorkers(ev, nil, *testN, 80, workers)
+			core.NewTestSetWorkers(context.Background(), ev, nil, *testN, 80, workers) // fails only on a done ctx
 		}
 	}
 	rep.Stages["simulate"] = timing(*repeats, simStage(1), simStage(0))

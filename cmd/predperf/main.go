@@ -106,9 +106,8 @@ func main() {
 	// the distributed evaluation farm; both are deterministic, so the
 	// model built downstream is bit-identical either way.
 	var (
-		ev      core.Evaluator
-		sims    func() int
-		evalErr = func() error { return nil }
+		ev   core.Evaluator
+		sims func() int
 	)
 	if *simWorkers != "" {
 		var urls []string
@@ -122,7 +121,7 @@ func main() {
 			log.Fatalf("-sim-workers: %v", err)
 		}
 		remote := cluster.NewRemoteEvaluator(pool, *bench, *insts, cluster.RemoteOptions{Metric: metric})
-		ev, sims, evalErr = remote, remote.Simulations, remote.Err
+		ev, sims = remote, remote.Simulations
 		fmt.Printf("evaluation farm: %s\n", strings.Join(pool.Workers(), ", "))
 	} else {
 		base, err := core.NewSimEvaluator(*bench, *insts)
@@ -183,16 +182,14 @@ func main() {
 	fmt.Printf("  method parameters  : p_min=%d alpha=%.0f\n", m.Fit.PMin, m.Fit.Alpha)
 	fmt.Printf("  RBF centers        : %d\n", m.Fit.NumCenters())
 
-	ts := predperf.NewTestSet(ev, nil, *testN, *seed+77)
+	ts, err := predperf.NewTestSet(context.Background(), ev, nil, *testN, *seed+77)
+	if err != nil {
+		log.Fatal(err)
+	}
 	st := m.Validate(ts)
 	fmt.Printf("  validation (%d random points): mean %.2f%%, max %.2f%%, std %.2f%%\n",
 		st.N, st.Mean, st.Max, st.Std)
 	fmt.Printf("  simulations run    : %d\n", sims())
-	// A farm failure surfaces as NaN evaluations; refuse to go on (and
-	// in particular to persist) a model that may rest on missing data.
-	if err := evalErr(); err != nil {
-		log.Fatalf("remote evaluation failed: %v", err)
-	}
 
 	if *linear {
 		lm, err := predperf.BuildLinearCtx(buildCtx, ev, *sampleSize, opt)
@@ -224,7 +221,11 @@ func main() {
 			log.Fatal(err)
 		}
 		pred := m.PredictConfig(cfg)
-		actual := ev.Eval(cfg)
+		vals, err := ev.Eval(context.Background(), []predperf.Config{cfg})
+		if err != nil {
+			log.Fatal(err)
+		}
+		actual := vals[0]
 		fmt.Printf("prediction for %s\n", cfg)
 		fmt.Printf("  model %s     : %.4f\n", metric, pred)
 		fmt.Printf("  simulated %s : %.4f (error %.2f%%)\n", metric, actual,

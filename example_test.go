@@ -1,6 +1,7 @@
 package predperf_test
 
 import (
+	"context"
 	"fmt"
 
 	"predperf"
@@ -37,7 +38,7 @@ func ExampleMinimize() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := predperf.Minimize(model, ev, predperf.SearchOptions{
+	res, err := predperf.Minimize(context.Background(), model, ev, predperf.SearchOptions{
 		GridLevels: 2,
 		Shortlist:  2,
 		Constraint: func(c predperf.Config) bool { return c.L2SizeKB <= 4096 },

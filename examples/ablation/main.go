@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -24,7 +25,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ts := predperf.NewTestSet(ev, nil, 30, 7)
+	ts, err := predperf.NewTestSet(context.Background(), ev, nil, 30, 7)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("ablation on %s: %d training points, %d test points\n\n", bench, size, len(ts.Configs))
 
 	// Full method.
@@ -52,7 +56,7 @@ func main() {
 	for i, p := range raw {
 		cfg := space.Decode(p, size)
 		xs[i] = space.Encode(cfg)
-		ys[i] = ev.Eval(cfg)
+		ys[i], _ = ev.EvalRan(cfg)
 	}
 	rndFit, err := rbf.Fit(xs, ys, rbf.Options{})
 	if err != nil {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,7 +46,7 @@ func main() {
 	simsUsed := ev.Simulations()
 	fmt.Printf("model for %s built from %d simulations\n", bench, simsUsed)
 
-	res, err := predperf.Minimize(model, ev, predperf.SearchOptions{
+	res, err := predperf.Minimize(context.Background(), model, ev, predperf.SearchOptions{
 		GridLevels: 5,
 		Shortlist:  8,
 		Constraint: func(c predperf.Config) bool { return budget(c) <= maxBudget },

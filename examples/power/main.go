@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,8 +38,14 @@ func main() {
 	fmt.Printf("CPI and EDP models for %s share %d simulations\n\n", bench, ev.Simulations())
 
 	// Validate both.
-	tsCPI := predperf.NewTestSet(ev, nil, 25, 9)
-	tsEDP := predperf.NewTestSet(ev.WithMetric(core.MetricEDP), nil, 25, 9)
+	tsCPI, err := predperf.NewTestSet(context.Background(), ev, nil, 25, 9)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tsEDP, err := predperf.NewTestSet(context.Background(), ev.WithMetric(core.MetricEDP), nil, 25, 9)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("CPI model: mean %.2f%% error | EDP model: mean %.2f%% error\n\n",
 		cpiModel.Validate(tsCPI).Mean, edpModel.Validate(tsEDP).Mean)
 

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,10 @@ func main() {
 		model.SampleSize, model.Fit.NumCenters(), model.Fit.PMin, model.Fit.Alpha)
 
 	// 3. Validate on 30 independently drawn random design points.
-	ts := predperf.NewTestSet(ev, nil, 30, 42)
+	ts, err := predperf.NewTestSet(context.Background(), ev, nil, 30, 42)
+	if err != nil {
+		log.Fatal(err)
+	}
 	st := model.Validate(ts)
 	fmt.Printf("validation on %d unseen points: mean %.2f%% / max %.2f%% CPI error\n",
 		st.N, st.Mean, st.Max)

@@ -46,7 +46,7 @@ func main() {
 			cfg := base
 			cfg.IL1SizeKB = il1
 			cfg.L2Lat = lat
-			sim := ev.Eval(cfg)
+			sim, _ := ev.EvalRan(cfg)
 			pred := model.PredictConfig(cfg)
 			marker := " "
 			if j > 0 {

@@ -12,7 +12,9 @@
 package adaptive
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -87,14 +89,18 @@ func Build(ev core.Evaluator, opt Options) (*core.Model, []Round, error) {
 	var pts []design.Point
 	var cfgs []design.Config
 	var ys []float64
-	add := func(p design.Point) {
-		cfg := space.Decode(p, opt.MaxSize)
-		cfgs = append(cfgs, cfg)
-		pts = append(pts, space.Encode(cfg))
-		ys = append(ys, ev.Eval(cfg))
+	add := func(batch []design.Point) error {
+		for _, p := range batch {
+			cfg := space.Decode(p, opt.MaxSize)
+			cfgs = append(cfgs, cfg)
+			pts = append(pts, space.Encode(cfg))
+		}
+		vals, err := ev.Eval(context.TODO(), cfgs[len(ys):])
+		ys = append(ys, vals...)
+		return err
 	}
-	for _, p := range raw {
-		add(p)
+	if err := add(raw); err != nil {
+		return nil, nil, fmt.Errorf("adaptive: simulating the seed sample: %w", err)
 	}
 
 	var history []Round
@@ -123,8 +129,8 @@ func Build(ev core.Evaluator, opt Options) (*core.Model, []Round, error) {
 			batch = opt.MaxSize - len(pts)
 		}
 		chosen := acquire(pool, pts, resid, batch, opt.Explore)
-		for _, p := range chosen {
-			add(p)
+		if err := add(chosen); err != nil {
+			return nil, history, fmt.Errorf("adaptive: simulating round %d: %w", len(history), err)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -83,7 +84,10 @@ func TestAdaptiveBeatsOrMatchesOneShotOnLocalFeature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := core.NewTestSet(ev, nil, 60, 17)
+	ts, err := core.NewTestSetWorkers(context.Background(), ev, nil, 60, 17, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ad := m.Validate(ts)
 	os := oneShot.Validate(ts)
 	// Adaptive must be at least competitive (within 1.5× of one-shot);

@@ -152,7 +152,7 @@ func TestPoolEvictionAndReadmission(t *testing.T) {
 	// least EvictAfter times; every request must still succeed via the
 	// steady worker after retries.
 	for i := 0; i < 6; i++ {
-		if _, _, err := p.EvalChunk(context.Background(), req); err != nil {
+		if _, err := p.EvalChunk(context.Background(), req); err != nil {
 			t.Fatalf("request %d failed despite a healthy worker: %v", i, err)
 		}
 	}
@@ -174,7 +174,7 @@ func TestPoolEvictionAndReadmission(t *testing.T) {
 	time.Sleep(40 * time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, _, err := p.EvalChunk(context.Background(), req); err != nil {
+		if _, err := p.EvalChunk(context.Background(), req); err != nil {
 			t.Fatalf("post-heal request failed: %v", err)
 		}
 		if ws := evicted(); ws != nil && !ws.Evicted {
@@ -199,7 +199,7 @@ func TestPoolPermanentErrorNoRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := EvalRequest{Benchmark: "x", TraceLen: 1, Configs: []WireConfig{{1, 1, 1, 1, 1, 1, 1, 1, 1}}}
-	if _, _, err := p.EvalChunk(context.Background(), req); err == nil {
+	if _, err := p.EvalChunk(context.Background(), req); err == nil {
 		t.Fatal("4xx answered no error")
 	}
 	if n := hits.Load(); n != 1 {
@@ -236,7 +236,7 @@ func TestPoolHedgesSlowRequests(t *testing.T) {
 
 	// Warm the latency tracker past hedgeWarmup while both are fast.
 	for i := 0; i < hedgeWarmup+2; i++ {
-		if _, _, err := p.EvalChunk(context.Background(), req); err != nil {
+		if _, err := p.EvalChunk(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestPoolHedgesSlowRequests(t *testing.T) {
 	// well under the slow worker's 300ms.
 	start := time.Now()
 	for i := 0; i < 4; i++ {
-		if _, _, err := p.EvalChunk(context.Background(), req); err != nil {
+		if _, err := p.EvalChunk(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
 	}

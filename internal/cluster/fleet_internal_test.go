@@ -148,7 +148,7 @@ func TestHedgeSpanLinks(t *testing.T) {
 	}
 	req := EvalRequest{Benchmark: "x", TraceLen: 1, Configs: []WireConfig{{1, 1, 1, 1, 1, 1, 1, 1, 1}}}
 	for i := 0; i < hedgeWarmup+2; i++ {
-		if _, _, err := p.EvalChunk(context.Background(), req); err != nil {
+		if _, err := p.EvalChunk(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestHedgeSpanLinks(t *testing.T) {
 	tr := obs.NewTrace("hedge-link-test")
 	ctx := obs.WithTrace(context.Background(), tr)
 	for i := 0; i < 4; i++ {
-		if _, _, err := p.EvalChunk(ctx, req); err != nil {
+		if _, err := p.EvalChunk(ctx, req); err != nil {
 			t.Fatal(err)
 		}
 	}

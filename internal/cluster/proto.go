@@ -68,9 +68,14 @@ func (w WireConfig) Config() design.Config {
 	}
 }
 
+// maxWireField caps every WireConfig field: the simulator sizes its
+// ROB, queues and caches from them (at the cap, under 100 MB per sim).
+const maxWireField = 1 << 16
+
 // Validate rejects configurations the design space cannot normalize:
 // every field must be positive (IQ/LSQ sizes are re-expressed as ROB
-// fractions, so a zero ROB would divide by zero).
+// fractions, so a zero ROB would divide by zero) and at most
+// maxWireField.
 func (w WireConfig) Validate() error {
 	fields := []struct {
 		name string
@@ -80,8 +85,8 @@ func (w WireConfig) Validate() error {
 		{"l2kb", w.L2KB}, {"l2lat", w.L2Lat}, {"il1kb", w.IL1KB}, {"dl1kb", w.DL1KB}, {"dl1lat", w.DL1Lat},
 	}
 	for _, f := range fields {
-		if f.v <= 0 {
-			return fmt.Errorf("field %q must be positive, got %d", f.name, f.v)
+		if f.v <= 0 || f.v > maxWireField {
+			return fmt.Errorf("field %q must be in [1, %d], got %d", f.name, maxWireField, f.v)
 		}
 	}
 	return nil

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -20,6 +19,7 @@ import (
 	"predperf/internal/core"
 	"predperf/internal/design"
 	"predperf/internal/obs"
+	"predperf/internal/par"
 )
 
 // Client-side farm observability: how often the pool asked a worker for
@@ -421,6 +421,11 @@ func (p *Pool) attempt(ctx context.Context, w *workerConn, body []byte, hedge bo
 	}
 	t0 := time.Now()
 	resp, err := p.opt.Client.Do(req)
+	if err != nil && ctx.Err() != nil {
+		// The caller gave up; that says nothing about the worker's health.
+		send(nil, ctx.Err(), "canceled")
+		return
+	}
 	if err != nil {
 		p.fail(w)
 		send(nil, fmt.Errorf("cluster: worker %s: %w", w.url, err), "transport_error")
@@ -534,19 +539,18 @@ func (p *Pool) tryOnce(ctx context.Context, body []byte) (*EvalResponse, error) 
 
 // EvalChunk evaluates one chunk of configurations on the farm: retries
 // with jittered exponential backoff across workers on transient
-// failures, gives up immediately on permanent (4xx) rejections, and
-// returns the number of simulations the farm ran for it.
-func (p *Pool) EvalChunk(ctx context.Context, req EvalRequest) ([]float64, int, error) {
+// failures and gives up immediately on permanent (4xx) rejections.
+func (p *Pool) EvalChunk(ctx context.Context, req EvalRequest) ([]float64, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	cPoolRequests.Inc()
 	var lastErr error
 	backoff := p.opt.BaseBackoff
 	for a := 0; a < p.opt.MaxAttempts; a++ {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if a > 0 {
 			cPoolRetries.Inc()
@@ -556,7 +560,7 @@ func (p *Pool) EvalChunk(ctx context.Context, req EvalRequest) ([]float64, int, 
 			select {
 			case <-time.After(d):
 			case <-ctx.Done():
-				return nil, 0, ctx.Err()
+				return nil, ctx.Err()
 			}
 			if backoff *= 2; backoff > p.opt.MaxBackoff {
 				backoff = p.opt.MaxBackoff
@@ -568,17 +572,17 @@ func (p *Pool) EvalChunk(ctx context.Context, req EvalRequest) ([]float64, int, 
 				lastErr = fmt.Errorf("cluster: worker answered %d values for %d configs", len(res.Values), len(req.Configs))
 				continue
 			}
-			return res.Values, res.Sims, nil
+			return res.Values, nil
 		}
 		var perm permanentError
 		if errors.As(err, &perm) {
 			cPoolFailures.Inc()
-			return nil, 0, err
+			return nil, err
 		}
 		lastErr = err
 	}
 	cPoolFailures.Inc()
-	return nil, 0, fmt.Errorf("cluster: evaluation failed after %d attempts: %w", p.opt.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("cluster: evaluation failed after %d attempts: %w", p.opt.MaxAttempts, lastErr)
 }
 
 // WorkerStatus is one row of the pool's topology snapshot.
@@ -625,12 +629,6 @@ type remoteEntry struct {
 type RemoteOptions struct {
 	// Metric selects the response, as on core.SimEvaluator.
 	Metric core.Metric
-	// Ctx bounds every remote call the evaluator makes (default
-	// context.Background()); cancel it to stop a build mid-flight.
-	Ctx context.Context
-	// Fallback, when non-nil, evaluates locally after the farm
-	// exhausts its attempts — availability over offload.
-	Fallback core.Evaluator
 }
 
 // RemoteEvaluator implements core.Evaluator over a worker pool: the
@@ -638,248 +636,119 @@ type RemoteOptions struct {
 // single-flight discipline as core.SimEvaluator, and since workers run
 // the identical deterministic simulator, a model built through a
 // RemoteEvaluator is bit-identical to one built in-process.
-//
-// Eval cannot return an error (the interface stands in for a local
-// simulator); when the farm is exhausted and no Fallback is configured
-// it returns NaN and records the failure — check Err after a build.
 type RemoteEvaluator struct {
 	Benchmark string
 	TraceLen  int
 
-	pool     *Pool
-	metric   core.Metric
-	ctx      context.Context
-	fallback core.Evaluator
+	pool   *Pool
+	metric core.Metric
 
 	mu    sync.Mutex
 	cache map[string]*remoteEntry
 	evals int // distinct configurations fetched (cache misses completed)
-
-	errMu    sync.Mutex
-	firstErr error
 }
 
 // NewRemoteEvaluator builds a farm-backed evaluator for one benchmark
 // and trace length.
 func NewRemoteEvaluator(pool *Pool, benchmark string, traceLen int, opt RemoteOptions) *RemoteEvaluator {
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	return &RemoteEvaluator{
 		Benchmark: benchmark,
 		TraceLen:  traceLen,
 		pool:      pool,
 		metric:    opt.Metric,
-		ctx:       ctx,
-		fallback:  opt.Fallback,
 		cache:     map[string]*remoteEntry{},
 	}
 }
 
 var _ core.Evaluator = (*RemoteEvaluator)(nil)
 
-// Eval returns the metric for cfg, asking the farm on a cache miss.
-// Concurrent misses on the same configuration single-flight: the losers
-// wait for the winner's network round trip instead of duplicating it.
-func (e *RemoteEvaluator) Eval(cfg design.Config) float64 { return e.evalCtx(e.ctx, cfg) }
-
-// Bind returns a view of this evaluator whose remote calls carry ctx —
-// the request-scoped trace (so pool attempts and worker spans land in
-// the request's timeline) and its cancellation — while sharing the
-// cache, single-flight slots, and pool of the parent. It keeps the
-// ctx-less core.Evaluator seam intact: request handlers bind per
-// request, batch builders use the evaluator as-is.
-func (e *RemoteEvaluator) Bind(ctx context.Context) core.Evaluator {
-	if ctx == nil {
-		return e
+// Eval returns the metric for every configuration, in input order.
+// Cached values are answered directly, and a configuration another call
+// is already fetching is awaited rather than fetched twice (single
+// flight). The call's own misses go to the farm in BatchChunk-sized
+// requests, concurrently. ctx bounds every request and wait, and carries
+// the caller's trace to the workers. A configuration whose fetch by
+// another call failed is fetched again by this one.
+func (e *RemoteEvaluator) Eval(ctx context.Context, cfgs []design.Config) ([]float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return boundRemote{e: e, ctx: ctx}
-}
-
-// boundRemote is a RemoteEvaluator view carrying a request context.
-type boundRemote struct {
-	e   *RemoteEvaluator
-	ctx context.Context
-}
-
-func (b boundRemote) Eval(cfg design.Config) float64 { return b.e.evalCtx(b.ctx, cfg) }
-func (b boundRemote) EvalBatch(cfgs []design.Config) ([]float64, error) {
-	return b.e.evalBatchCtx(b.ctx, cfgs)
-}
-func (b boundRemote) Simulations() int { return b.e.Simulations() }
-func (b boundRemote) Err() error       { return b.e.Err() }
-
-func (e *RemoteEvaluator) evalCtx(ctx context.Context, cfg design.Config) float64 {
-	key := cfg.Key()
-	for {
-		e.mu.Lock()
-		ent, ok := e.cache[key]
-		if !ok {
-			ent = &remoteEntry{done: make(chan struct{})}
-			e.cache[key] = ent
-			e.mu.Unlock()
-			e.fetch(ctx, key, ent, cfg)
-			return ent.val
+	ents := make([]*remoteEntry, len(cfgs))
+	var own []int
+	e.mu.Lock()
+	for i, cfg := range cfgs {
+		if ents[i] = e.cache[cfg.Key()]; ents[i] != nil {
+			cRemoteCacheHits.Inc()
+			continue
 		}
-		e.mu.Unlock()
-		cRemoteCacheHits.Inc()
+		ents[i] = &remoteEntry{done: make(chan struct{})}
+		e.cache[cfg.Key()] = ents[i]
+		own = append(own, i)
+	}
+	e.mu.Unlock()
+
+	cRemoteEvals.Add(int64(len(own)))
+	chunk := e.pool.opt.BatchChunk
+	errs := make([]error, (len(own)+chunk-1)/chunk)
+	par.For(len(errs), len(errs), func(c int) {
+		errs[c] = e.fetch(ctx, cfgs, ents, own[c*chunk:min((c+1)*chunk, len(own))])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	out := make([]float64, len(cfgs))
+	for i, ent := range ents {
 		select {
 		case <-ent.done:
 		case <-ctx.Done():
-			e.recordErr(ctx.Err())
-			return math.NaN()
+			return nil, ctx.Err()
 		}
-		if ent.ok {
-			return ent.val
+		if !ent.ok {
+			// Another call's fetch failed and dropped the entry; start
+			// over, so this call fetches it (the rest are cached now).
+			return e.Eval(ctx, cfgs)
 		}
-		// The winner failed and removed the entry; retry as a fresh
-		// miss (the backoff already happened inside the pool).
-		if err := ctx.Err(); err != nil {
-			e.recordErr(err)
-			return math.NaN()
-		}
-	}
-}
-
-// fetch resolves one cache miss. On success the value is published; on
-// failure the entry is removed so a later Eval can retry, the error is
-// recorded, and NaN (or the fallback's answer) is published to current
-// waiters.
-func (e *RemoteEvaluator) fetch(ctx context.Context, key string, ent *remoteEntry, cfg design.Config) {
-	defer close(ent.done)
-	cRemoteEvals.Inc()
-	vals, _, err := e.pool.EvalChunk(ctx, EvalRequest{
-		Benchmark: e.Benchmark,
-		TraceLen:  e.TraceLen,
-		Metric:    strings.ToLower(e.metric.String()),
-		Configs:   []WireConfig{FromConfig(cfg)},
-	})
-	if err == nil {
-		ent.val, ent.ok = vals[0], true
-		e.mu.Lock()
-		e.evals++
-		e.mu.Unlock()
-		return
-	}
-	e.recordErr(err)
-	if e.fallback != nil {
-		ent.val, ent.ok = e.fallback.Eval(cfg), true
-		e.mu.Lock()
-		e.evals++
-		e.mu.Unlock()
-		return
-	}
-	ent.val = math.NaN()
-	e.mu.Lock()
-	delete(e.cache, key)
-	e.mu.Unlock()
-}
-
-// EvalBatch evaluates a batch of configurations, fanning cache misses
-// across the farm in BatchChunk-sized concurrent requests. Results are
-// positionally stable and bit-identical to per-config Eval calls.
-func (e *RemoteEvaluator) EvalBatch(cfgs []design.Config) ([]float64, error) {
-	return e.evalBatchCtx(e.ctx, cfgs)
-}
-
-func (e *RemoteEvaluator) evalBatchCtx(ctx context.Context, cfgs []design.Config) ([]float64, error) {
-	out := make([]float64, len(cfgs))
-	missIdx := make([]int, 0, len(cfgs))
-	e.mu.Lock()
-	for i, cfg := range cfgs {
-		if ent, ok := e.cache[cfg.Key()]; ok && ent.ok {
-			out[i] = ent.val
-			continue
-		}
-		missIdx = append(missIdx, i)
-	}
-	e.mu.Unlock()
-	if len(missIdx) == 0 {
-		return out, nil
-	}
-	chunk := e.pool.opt.BatchChunk
-	nChunks := (len(missIdx) + chunk - 1) / chunk
-	errs := make([]error, nChunks)
-	var wg sync.WaitGroup
-	for c := 0; c < nChunks; c++ {
-		lo, hi := c*chunk, (c+1)*chunk
-		if hi > len(missIdx) {
-			hi = len(missIdx)
-		}
-		wg.Add(1)
-		go func(c int, idx []int) {
-			defer wg.Done()
-			req := EvalRequest{
-				Benchmark: e.Benchmark,
-				TraceLen:  e.TraceLen,
-				Metric:    strings.ToLower(e.metric.String()),
-				Configs:   make([]WireConfig, len(idx)),
-			}
-			for a, i := range idx {
-				req.Configs[a] = FromConfig(cfgs[i])
-			}
-			vals, _, err := e.pool.EvalChunk(ctx, req)
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			e.mu.Lock()
-			for a, i := range idx {
-				out[i] = vals[a]
-				key := cfgs[i].Key()
-				if _, ok := e.cache[key]; !ok {
-					ent := &remoteEntry{done: make(chan struct{}), val: vals[a], ok: true}
-					close(ent.done)
-					e.cache[key] = ent
-					e.evals++
-				}
-			}
-			e.mu.Unlock()
-		}(c, missIdx[lo:hi])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			e.recordErr(err)
-			return out, err
-		}
+		out[i] = ent.val
 	}
 	return out, nil
 }
 
-func (e *RemoteEvaluator) recordErr(err error) {
-	if err == nil {
-		return
+// fetch asks the farm for cfgs[i], i in idx, in one request and
+// publishes the answers to their entries. On failure it drops the
+// entries, so a later call retries them, and returns the error.
+func (e *RemoteEvaluator) fetch(ctx context.Context, cfgs []design.Config, ents []*remoteEntry, idx []int) error {
+	req := EvalRequest{
+		Benchmark: e.Benchmark,
+		TraceLen:  e.TraceLen,
+		Metric:    strings.ToLower(e.metric.String()),
+		Configs:   make([]WireConfig, len(idx)),
 	}
-	e.errMu.Lock()
-	defer e.errMu.Unlock()
-	if e.firstErr == nil {
-		e.firstErr = err
+	for a, i := range idx {
+		req.Configs[a] = FromConfig(cfgs[i])
 	}
-}
-
-// Err reports the first remote failure the evaluator swallowed into a
-// NaN (or served from the fallback). A build driver should check it:
-// a non-nil error means the built model may rest on incomplete data.
-func (e *RemoteEvaluator) Err() error {
-	e.errMu.Lock()
-	defer e.errMu.Unlock()
-	return e.firstErr
+	vals, err := e.pool.EvalChunk(ctx, req)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for a, i := range idx {
+		if err == nil {
+			ents[i].val, ents[i].ok = vals[a], true
+			e.evals++
+		} else {
+			delete(e.cache, cfgs[i].Key())
+		}
+		close(ents[i].done)
+	}
+	return err
 }
 
 // Simulations reports how many distinct configurations were resolved
-// through the farm (or fallback) — the remote analogue of
+// through the farm — the remote analogue of
 // core.SimEvaluator.Simulations.
 func (e *RemoteEvaluator) Simulations() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.evals
-}
-
-// Pool exposes the evaluator's pool, e.g. for topology surfaces.
-func (e *RemoteEvaluator) Pool() *Pool { return e.pool }
-
-func (e *RemoteEvaluator) String() string {
-	return fmt.Sprintf("remote(%s, %d insts, %d workers)", e.Benchmark, e.TraceLen, len(e.pool.workers))
 }

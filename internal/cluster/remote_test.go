@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"math"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,6 +18,7 @@ import (
 	"predperf/internal/core"
 	"predperf/internal/design"
 	"predperf/internal/evaltest"
+	"predperf/internal/obs"
 	"predperf/internal/rbf"
 )
 
@@ -141,7 +142,7 @@ func TestWorkerEvalBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range cfgs {
-		if want := local.Eval(c); er.Values[i] != want {
+		if want := evaltest.One(t, local, c); er.Values[i] != want {
 			t.Fatalf("config %d: remote %v != local %v", i, er.Values[i], want)
 		}
 	}
@@ -254,12 +255,6 @@ func TestRemoteEvaluatorConformance(t *testing.T) {
 		Sims: func(ev core.Evaluator) int {
 			return ev.(*cluster.RemoteEvaluator).Simulations()
 		},
-		Canceled: func(t *testing.T) (core.Evaluator, func() error) {
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			re := cluster.NewRemoteEvaluator(pool, testBench, testInsts, cluster.RemoteOptions{Ctx: ctx})
-			return re, re.Err
-		},
 	})
 }
 
@@ -274,7 +269,7 @@ func TestRemoteEvaluatorMatchesLocalAcrossMetrics(t *testing.T) {
 		remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, cluster.RemoteOptions{Metric: metric})
 		local := base.WithMetric(metric)
 		for i, c := range cfgs {
-			if r, l := remote.Eval(c), local.Eval(c); r != l {
+			if r, l := evaltest.One(t, remote, c), evaltest.One(t, local, c); r != l {
 				t.Fatalf("%s config %d: remote %v != local %v", metric, i, r, l)
 			}
 		}
@@ -285,25 +280,27 @@ func TestRemoteEvaluatorBatchFansOut(t *testing.T) {
 	pool := newFarm(t, 2, cluster.PoolOptions{BatchChunk: 4})
 	remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, cluster.RemoteOptions{})
 	cfgs := evaltest.Configs(10)
-	vals, err := remote.EvalBatch(cfgs)
-	if err != nil {
-		t.Fatal(err)
+	requests := obs.NewCounter("cluster.pool_requests")
+	r0 := requests.Value()
+	vals := evaltest.All(t, remote, cfgs)
+	if n := requests.Value() - r0; n != 3 {
+		t.Fatalf("10 configs at BatchChunk 4 took %d farm requests, want 3", n)
 	}
 	local, _ := core.NewSimEvaluator(testBench, testInsts)
 	for i, c := range cfgs {
-		if want := local.Eval(c); vals[i] != want {
+		if want := evaltest.One(t, local, c); vals[i] != want {
 			t.Fatalf("config %d: batch value %v != local %v", i, vals[i], want)
 		}
 	}
 	// Batch results land in the cache: per-config Eval is free and equal.
 	before := remote.Simulations()
 	for i, c := range cfgs {
-		if got := remote.Eval(c); got != vals[i] {
+		if got := evaltest.One(t, remote, c); got != vals[i] {
 			t.Fatalf("config %d: Eval after batch %v != %v", i, got, vals[i])
 		}
 	}
 	if after := remote.Simulations(); after != before {
-		t.Fatalf("Eval after EvalBatch refetched: %d → %d", before, after)
+		t.Fatalf("per-config Eval after the batch refetched: %d → %d", before, after)
 	}
 }
 
@@ -317,30 +314,135 @@ func TestRemoteEvaluatorFarmDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, cluster.RemoteOptions{})
-	if v := remote.Eval(evaltest.Configs(1)[0]); !math.IsNaN(v) {
-		t.Fatalf("dead farm answered %v, want NaN", v)
-	}
-	if remote.Err() == nil {
-		t.Fatal("dead farm reported no error")
+	vals, err := remote.Eval(context.Background(), evaltest.Configs(2))
+	if err == nil || vals != nil {
+		t.Fatalf("dead farm answered %v, %v; want an error and no values", vals, err)
 	}
 }
 
-func TestRemoteEvaluatorFallback(t *testing.T) {
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	dead.Close()
-	pool, err := cluster.NewPool([]string{dead.URL}, cluster.PoolOptions{
-		MaxAttempts: 2, BaseBackoff: time.Millisecond, ReadmitAfter: time.Millisecond,
+// TestRemoteEvaluatorRetriesAfterFailure: a failed fetch is not
+// cached, so the next Eval of the same configurations asks the farm
+// again and gets the worker's values.
+func TestRemoteEvaluatorRetriesAfterFailure(t *testing.T) {
+	worker := cluster.NewWorker(cluster.WorkerOptions{}).Handler()
+	var calls atomic.Int32
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/eval" && calls.Add(1) == 1 {
+			http.Error(w, "warming up", http.StatusServiceUnavailable)
+			return
+		}
+		worker.ServeHTTP(w, r)
+	}))
+	t.Cleanup(flaky.Close)
+	pool, err := cluster.NewPool([]string{flaky.URL}, cluster.PoolOptions{MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, cluster.RemoteOptions{})
+	cfgs := evaltest.Configs(3)
+	if _, err := remote.Eval(context.Background(), cfgs); err == nil {
+		t.Fatal("the 503 reached no caller")
+	}
+	got := evaltest.All(t, remote, cfgs)
+	local, _ := core.NewSimEvaluator(testBench, testInsts)
+	for i, want := range evaltest.All(t, local, cfgs) {
+		if got[i] != want {
+			t.Fatalf("config %d after the retry: remote %v != local %v", i, got[i], want)
+		}
+	}
+	if n := remote.Simulations(); n != len(cfgs) {
+		t.Fatalf("remote resolved %d configs, want %d", n, len(cfgs))
+	}
+}
+
+// TestRemoteEvaluatorWaiterSurvivesCanceledFetch: a call awaiting a
+// configuration another call is fetching does not inherit that call's
+// cancellation; when the fetch is dropped it fetches the configuration
+// itself.
+func TestRemoteEvaluatorWaiterSurvivesCanceledFetch(t *testing.T) {
+	worker := cluster.NewWorker(cluster.WorkerOptions{}).Handler()
+	first := make(chan struct{})
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/eval" && calls.Add(1) == 1 {
+			close(first)
+			io.Copy(io.Discard, r.Body) // the server notices a gone client only after the body
+			<-r.Context().Done()        // hang until the fetching call gives up
+			return
+		}
+		worker.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	pool, err := cluster.NewPool([]string{srv.URL}, cluster.PoolOptions{MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, cluster.RemoteOptions{})
+	cfg := evaltest.Configs(1)
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	errA := make(chan error, 1)
+	go func() {
+		_, err := remote.Eval(ctxA, cfg)
+		errA <- err
+	}()
+	<-first
+	hits := obs.NewCounter("cluster.remote_cache_hits")
+	h0 := hits.Value()
+	type result struct {
+		vals []float64
+		err  error
+	}
+	resB := make(chan result, 1)
+	go func() {
+		vals, err := remote.Eval(context.Background(), cfg)
+		resB <- result{vals, err}
+	}()
+	for hits.Value() == h0 { // B has found A's in-flight entry
+		time.Sleep(time.Millisecond)
+	}
+	cancelA()
+	if err := <-errA; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled fetch returned %v, want context.Canceled", err)
+	}
+	b := <-resB
+	local, _ := core.NewSimEvaluator(testBench, testInsts)
+	if b.err != nil || b.vals[0] != evaltest.One(t, local, cfg[0]) {
+		t.Fatalf("the waiting call got %v, %v; want the local value and no error", b.vals, b.err)
+	}
+}
+
+// TestRemoteBuildCancelsFarmCalls: a build's context reaches the farm.
+// Over a worker that never answers, a build under a 100 ms deadline
+// returns the deadline error within about a second of it, instead of
+// waiting out each point's request timeout and failing in the fit.
+func TestRemoteBuildCancelsFarmCalls(t *testing.T) {
+	release := make(chan struct{})
+	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(hang.Close)
+	t.Cleanup(func() { close(release) })
+	pool, err := cluster.NewPool([]string{hang.URL}, cluster.PoolOptions{
+		RequestTimeout: 3 * time.Second, MaxAttempts: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fallback := core.FuncEvaluator(func(design.Config) float64 { return 42 })
-	remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, cluster.RemoteOptions{Fallback: fallback})
-	if v := remote.Eval(evaltest.Configs(1)[0]); v != 42 {
-		t.Fatalf("fallback not used: got %v", v)
+	remote := cluster.NewRemoteEvaluator(pool, testBench, testInsts, cluster.RemoteOptions{})
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	t0 := time.Now()
+	m, err := core.BuildRBFModelCtx(ctx, remote, 4, core.Options{LHSCandidates: 2, Parallel: 1})
+	took := time.Since(t0)
+	if !errors.Is(err, context.DeadlineExceeded) || m != nil {
+		t.Fatalf("build over a hanging farm: model %v, err %v; want no model and context.DeadlineExceeded", m, err)
 	}
-	if remote.Err() == nil {
-		t.Fatal("fallback served but the farm failure went unreported")
+	if took > 1100*time.Millisecond {
+		t.Fatalf("build returned %v after start, want within about 1s of its 100ms deadline", took)
 	}
 }
 
@@ -356,11 +458,11 @@ type killAfter struct {
 	kill  func()
 }
 
-func (k *killAfter) Eval(c design.Config) float64 {
-	if k.n.Add(1) == k.after {
+func (k *killAfter) Eval(ctx context.Context, cfgs []design.Config) ([]float64, error) {
+	if k.n.Add(int32(len(cfgs))) == k.after {
 		k.kill()
 	}
-	return k.ev.Eval(c)
+	return k.ev.Eval(ctx, cfgs)
 }
 
 func TestRemoteBuildBitIdenticalAndSurvivesWorkerLoss(t *testing.T) {
@@ -408,10 +510,6 @@ func TestRemoteBuildBitIdenticalAndSurvivesWorkerLoss(t *testing.T) {
 	default:
 		t.Fatal("the doomed worker was never killed; the test exercised nothing")
 	}
-	if err := remote.Err(); err != nil {
-		t.Fatalf("build completed but the evaluator recorded an unrecovered error: %v", err)
-	}
-
 	var wantBuf, gotBuf bytes.Buffer
 	if err := want.Save(&wantBuf); err != nil {
 		t.Fatal(err)
@@ -434,5 +532,4 @@ func TestRemoteBuildBitIdenticalAndSurvivesWorkerLoss(t *testing.T) {
 	if !evicted {
 		t.Error("killed worker still in rotation")
 	}
-	_ = fmt.Sprintf("%s", remote) // String() smoke
 }

@@ -105,8 +105,8 @@ func (m *Model) PredictConfigs(cfgs []design.Config) []float64 {
 // sampleAndSimulate draws the space-filling sample (steps 2–3 of the
 // procedure) and obtains responses from the evaluator, optionally with
 // several workers. The stage spans attach to the trace in ctx when one
-// is active.
-func sampleAndSimulate(ctx context.Context, ev Evaluator, size int, opt Options) (pts []design.Point, cfgs []design.Config, ys []float64, disc float64) {
+// is active. A non-nil error is the evaluator's.
+func sampleAndSimulate(ctx context.Context, ev Evaluator, size int, opt Options) (pts []design.Point, cfgs []design.Config, ys []float64, disc float64, err error) {
 	sctx, endSample := obs.StartSpanCtx(ctx, "core.sample")
 	rng := rand.New(rand.NewSource(opt.Seed))
 	raw, disc := sample.BestLHSCtx(sctx, opt.Space, size, opt.LHSCandidates, rng, opt.Parallel)
@@ -121,24 +121,38 @@ func sampleAndSimulate(ctx context.Context, ev Evaluator, size int, opt Options)
 	endSample()
 	simCtx, endSim := obs.StartSpanCtx(ctx, "core.simulate")
 	defer endSim()
-	evalAll(simCtx, ev, cfgs, ys, opt.Parallel)
-	return pts, cfgs, ys, disc
+	if err := evalAll(simCtx, ev, cfgs, ys, opt.Parallel); err != nil {
+		return nil, nil, nil, 0, err
+	}
+	return pts, cfgs, ys, disc, nil
 }
 
-// evalAll fills ys[i] = ev.Eval(cfgs[i]), using workers goroutines when
-// workers > 1. Responses land at fixed indices, so results are
-// deterministic for a deterministic evaluator. Under an active trace
-// every design-point evaluation gets its own child span, so the Chrome
-// export shows the simulation fan-out point by point.
-func evalAll(ctx context.Context, ev Evaluator, cfgs []design.Config, ys []float64, workers int) {
+// evalAll fills ys[i] with the response at cfgs[i], one Eval call per
+// point, using workers goroutines when workers > 1. Responses land at
+// fixed indices, so results are deterministic for a deterministic
+// evaluator. Under an active trace every design-point evaluation gets
+// its own child span, so the Chrome export shows the simulation fan-out
+// point by point. The first failure cancels the other points' calls and
+// is returned.
+func evalAll(ctx context.Context, ev Evaluator, cfgs []design.Config, ys []float64, workers int) error {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	traced := obs.TraceFrom(ctx) != nil
 	par.For(workers, len(cfgs), func(i int) {
+		pctx := ctx
 		if traced {
-			_, end := obs.StartSpanCtx(ctx, "core.sim_point", "i", strconv.Itoa(i))
+			var end func()
+			pctx, end = obs.StartSpanCtx(ctx, "core.sim_point", "i", strconv.Itoa(i))
 			defer end()
 		}
-		ys[i] = ev.Eval(cfgs[i])
+		v, err := ev.Eval(pctx, cfgs[i:i+1])
+		if err != nil {
+			cancel(err)
+			return
+		}
+		ys[i] = v[0]
 	})
+	return context.Cause(ctx)
 }
 
 // BuildRBFModel runs the paper's model construction procedure at one
@@ -156,7 +170,8 @@ func BuildRBFModel(ev Evaluator, size int, opt Options) (*Model, error) {
 // simulation, and the (p_min, α) grid search — records parent/child
 // spans on it, giving the Chrome trace export a full timeline of the
 // parallel build. Tracing observes and never perturbs: the built model
-// is bit-identical with or without an active trace.
+// is bit-identical with or without an active trace. Every Eval call
+// gets ctx; an evaluator error is returned wrapped.
 func BuildRBFModelCtx(ctx context.Context, ev Evaluator, size int, opt Options) (*Model, error) {
 	if size < 4 {
 		return nil, errors.New("core: sample size must be at least 4")
@@ -164,7 +179,10 @@ func BuildRBFModelCtx(ctx context.Context, ev Evaluator, size int, opt Options) 
 	opt = opt.withDefaults()
 	ctx, end := obs.StartSpanCtx(ctx, "core.build_rbf")
 	defer end()
-	pts, cfgs, ys, disc := sampleAndSimulate(ctx, ev, size, opt)
+	pts, cfgs, ys, disc, err := sampleAndSimulate(ctx, ev, size, opt)
+	if err != nil {
+		return nil, evalError{err}
+	}
 	fitCtx, endFit := obs.StartSpanCtx(ctx, "core.fit")
 	fit, err := rbf.FitCtx(fitCtx, asFloats(pts), ys, opt.RBF)
 	endFit()
@@ -211,7 +229,10 @@ func BuildLinearModelCtx(ctx context.Context, ev Evaluator, size int, opt Option
 	opt = opt.withDefaults()
 	ctx, end := obs.StartSpanCtx(ctx, "core.build_linear")
 	defer end()
-	pts, _, ys, _ := sampleAndSimulate(ctx, ev, size, opt)
+	pts, _, ys, _, err := sampleAndSimulate(ctx, ev, size, opt)
+	if err != nil {
+		return nil, evalError{err}
+	}
 	_, endFit := obs.StartSpanCtx(ctx, "core.fit")
 	fit, err := linreg.Fit(asFloats(pts), ys)
 	endFit()
@@ -220,6 +241,13 @@ func BuildLinearModelCtx(ctx context.Context, ev Evaluator, size int, opt Option
 	}
 	return &LinearModel{Space: opt.Space, SampleSize: size, Fit: fit}, nil
 }
+
+// evalError marks a build the evaluator failed, which
+// BuildToAccuracyFromCtx stops at (it skips a size whose fit fails).
+type evalError struct{ err error }
+
+func (e evalError) Error() string { return "core: evaluating the sample: " + e.err.Error() }
+func (e evalError) Unwrap() error { return e.err }
 
 func asFloats(pts []design.Point) [][]float64 {
 	out := make([][]float64, len(pts))

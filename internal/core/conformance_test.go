@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"predperf/internal/core"
+	"predperf/internal/design"
 	"predperf/internal/evaltest"
 )
 
@@ -22,6 +23,18 @@ func TestSimEvaluatorConformance(t *testing.T) {
 		},
 		Sims: func(ev core.Evaluator) int {
 			return ev.(*core.SimEvaluator).Simulations()
+		},
+	})
+}
+
+// TestFuncEvaluatorConformance runs the contract against the function
+// adapter the test fixtures and synthetic experiments use.
+func TestFuncEvaluatorConformance(t *testing.T) {
+	evaltest.Run(t, evaltest.Harness{
+		New: func(t *testing.T) core.Evaluator {
+			return core.FuncEvaluator(func(c design.Config) float64 {
+				return 1 + float64(c.ROBSize)/float64(c.PipeDepth*c.L2Lat) + 1/float64(c.DL1SizeKB)
+			})
 		},
 	})
 }

@@ -22,6 +22,27 @@ func syntheticCPI(c design.Config) float64 {
 		0.1*(64/float64(c.IL1SizeKB))*0.1
 }
 
+// mustTestSet is NewTestSetWorkers over the Table 2 space on all CPUs, failing the test
+// on an evaluator error.
+func mustTestSet(t testing.TB, ev Evaluator, n int, seed int64) *TestSet {
+	t.Helper()
+	ts, err := NewTestSetWorkers(context.Background(), ev, nil, n, seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts
+}
+
+// evalOne evaluates one configuration, failing the test on an error.
+func evalOne(t testing.TB, ev Evaluator, cfg design.Config) float64 {
+	t.Helper()
+	vals, err := ev.Eval(context.Background(), []design.Config{cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vals[0]
+}
+
 func fastOpt() Options {
 	return Options{
 		LHSCandidates: 16,
@@ -42,7 +63,7 @@ func TestBuildRBFModelOnSyntheticTruth(t *testing.T) {
 	if m.Discrepancy <= 0 {
 		t.Fatalf("discrepancy = %v", m.Discrepancy)
 	}
-	ts := NewTestSet(ev, nil, 50, 3)
+	ts := mustTestSet(t, ev, 50, 3)
 	st := m.Validate(ts)
 	if st.N != 50 {
 		t.Fatalf("validated %d points", st.N)
@@ -58,7 +79,7 @@ func TestBuildRBFModelOnSyntheticTruth(t *testing.T) {
 func TestRBFBeatsLinearOnCurvedTruth(t *testing.T) {
 	ev := FuncEvaluator(syntheticCPI)
 	opt := fastOpt()
-	ts := NewTestSet(ev, nil, 50, 5)
+	ts := mustTestSet(t, ev, 50, 5)
 	rbfM, err := BuildRBFModel(ev, 90, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +129,7 @@ func TestTrainingInterpolation(t *testing.T) {
 
 func TestBuildToAccuracyStopsAtTarget(t *testing.T) {
 	ev := FuncEvaluator(syntheticCPI)
-	ts := NewTestSet(ev, nil, 40, 11)
+	ts := mustTestSet(t, ev, 40, 11)
 	res, err := BuildToAccuracy(ev, []int{20, 40, 80, 120}, 5.0, ts, fastOpt())
 	if err != nil {
 		t.Fatal(err)
@@ -151,9 +172,9 @@ func TestSimEvaluatorMemoizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := design.PaperSpace().Decode(mid(design.PaperSpace()), 50)
-	a := ev.Eval(cfg)
+	a := evalOne(t, ev, cfg)
 	n := ev.Simulations()
-	b := ev.Eval(cfg)
+	b := evalOne(t, ev, cfg)
 	if a != b {
 		t.Fatalf("non-deterministic evaluation: %v vs %v", a, b)
 	}
@@ -177,7 +198,7 @@ func TestBuildRBFModelWithSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := NewTestSet(ev, nil, 15, 21)
+	ts := mustTestSet(t, ev, 15, 21)
 	st := m.Validate(ts)
 	if math.IsNaN(st.Mean) || st.Mean <= 0 || st.Mean > 60 {
 		t.Fatalf("implausible mean error %v%%", st.Mean)
@@ -266,10 +287,14 @@ func TestEvalAllDeterministicAcrossWorkerCounts(t *testing.T) {
 		cfgs[i] = space.Decode(pt, len(cfgs))
 	}
 	want := make([]float64, len(cfgs))
-	evalAll(context.Background(), ev, cfgs, want, 1)
+	if err := evalAll(context.Background(), ev, cfgs, want, 1); err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{2, 3, 8, 100} {
 		got := make([]float64, len(cfgs))
-		evalAll(context.Background(), ev, cfgs, got, workers)
+		if err := evalAll(context.Background(), ev, cfgs, got, workers); err != nil {
+			t.Fatal(err)
+		}
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: ys[%d] = %v, serial %v", workers, i, got[i], want[i])
@@ -280,9 +305,15 @@ func TestEvalAllDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestTestSetIdenticalAcrossWorkerCounts(t *testing.T) {
 	ev := FuncEvaluator(syntheticCPI)
-	want := NewTestSetWorkers(ev, nil, 30, 17, 1)
+	want, err := NewTestSetWorkers(context.Background(), ev, nil, 30, 17, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{0, 2, 6} {
-		got := NewTestSetWorkers(ev, nil, 30, 17, workers)
+		got, err := NewTestSetWorkers(context.Background(), ev, nil, 30, 17, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range want.Configs {
 			if got.Configs[i] != want.Configs[i] {
 				t.Fatalf("workers=%d: config %d differs", workers, i)
@@ -308,7 +339,7 @@ func TestSimCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[g] = ev.Eval(cfg)
+			results[g], _ = ev.EvalRan(cfg)
 		}()
 	}
 	wg.Wait()
@@ -332,7 +363,7 @@ func TestCrossValidateTracksTestError(t *testing.T) {
 	if cv.N == 0 || cv.Mean <= 0 {
 		t.Fatalf("CV stats malformed: %+v", cv)
 	}
-	ts := NewTestSet(ev, nil, 40, 13)
+	ts := mustTestSet(t, ev, 40, 13)
 	test := m.Validate(ts)
 	// CV should be the same order of magnitude as the test error (it is
 	// an estimate, typically pessimistic since folds are smaller).

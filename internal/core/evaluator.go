@@ -8,6 +8,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -29,11 +30,13 @@ var (
 	cEvals     = obs.NewCounter("core.evals")
 )
 
-// Evaluator produces the response (CPI) at a concrete design point.
+// Evaluator produces the response (CPI) at concrete design points.
 // Implementations stand in for the paper's "detailed simulation" step
-// and are expected to be deterministic.
+// and are expected to be deterministic. Eval returns one value per
+// configuration, in input order; a non-nil error (ctx's, once it is
+// done) means no value may be used.
 type Evaluator interface {
-	Eval(cfg design.Config) float64
+	Eval(ctx context.Context, cfgs []design.Config) ([]float64, error)
 }
 
 // Metric selects which response a SimEvaluator reports — the paper
@@ -182,17 +185,20 @@ func (e *SimEvaluator) resolve(cfg design.Config) (sc sim.Config, res sim.Result
 	return sc, ent.res, ran
 }
 
-// Eval returns the configured metric for cfg, running the simulator on
-// a cache miss.
-func (e *SimEvaluator) Eval(cfg design.Config) float64 {
-	v, _ := e.EvalRan(cfg)
-	return v
+// Eval returns the configured metric for every configuration, running
+// the simulator on cache misses. ctx is checked before each
+// configuration; a simulation once started runs to completion.
+func (e *SimEvaluator) Eval(ctx context.Context, cfgs []design.Config) ([]float64, error) {
+	return FuncEvaluator(func(cfg design.Config) float64 {
+		v, _ := e.EvalRan(cfg)
+		return v
+	}).Eval(ctx, cfgs)
 }
 
-// EvalRan is Eval that also reports whether this call ran the
-// simulator, as opposed to reading the cache or waiting on a concurrent
-// call's run of the same configuration. Callers that share the
-// evaluator count their own simulations with it exactly.
+// EvalRan evaluates one configuration and reports whether this call
+// ran the simulator, as opposed to reading the cache or waiting on a
+// concurrent call's run of the same configuration. Callers that share
+// the evaluator count their own simulations with it exactly.
 func (e *SimEvaluator) EvalRan(cfg design.Config) (v float64, ran bool) {
 	cEvals.Inc()
 	sc, res, ran := e.resolve(cfg)
@@ -227,8 +233,18 @@ func (e *SimEvaluator) Detail(cfg design.Config) sim.Result {
 // experiments.
 type FuncEvaluator func(design.Config) float64
 
-// Eval invokes the function.
-func (f FuncEvaluator) Eval(cfg design.Config) float64 { return f(cfg) }
+// Eval invokes the function on every configuration, checking ctx
+// before each.
+func (f FuncEvaluator) Eval(ctx context.Context, cfgs []design.Config) ([]float64, error) {
+	out := make([]float64, len(cfgs))
+	for i, cfg := range cfgs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		out[i] = f(cfg)
+	}
+	return out, nil
+}
 
 var _ Evaluator = (*SimEvaluator)(nil)
 var _ Evaluator = FuncEvaluator(nil)

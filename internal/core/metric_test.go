@@ -12,13 +12,13 @@ func TestMetricViewsShareSimulations(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := design.PaperSpace().Decode(mid(design.PaperSpace()), 50)
-	cpi := ev.Eval(cfg)
+	cpi := evalOne(t, ev, cfg)
 	n := ev.Simulations()
 
 	epi := ev.WithMetric(MetricEPI)
 	edp := ev.WithMetric(MetricEDP)
 	pw := ev.WithMetric(MetricPower)
-	vEPI, vEDP, vPW := epi.Eval(cfg), edp.Eval(cfg), pw.Eval(cfg)
+	vEPI, vEDP, vPW := evalOne(t, epi, cfg), evalOne(t, edp, cfg), evalOne(t, pw, cfg)
 	if ev.Simulations() != n {
 		t.Fatalf("metric views re-simulated: %d → %d", n, ev.Simulations())
 	}
@@ -53,7 +53,7 @@ func TestBuildModelForPowerMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := NewTestSet(pev, nil, 12, 5)
+	ts := mustTestSet(t, pev, 12, 5)
 	st := m.Validate(ts)
 	if st.Mean <= 0 || st.Mean > 60 {
 		t.Fatalf("EPI model mean error %v%%", st.Mean)

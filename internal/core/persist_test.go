@@ -164,7 +164,7 @@ func TestLoadedModelValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := NewTestSet(ev, nil, 20, 3)
+	ts := mustTestSet(t, ev, 20, 3)
 	a, b := m.Validate(ts), loaded.Validate(ts)
 	if a != b {
 		t.Fatalf("validation differs: %+v vs %+v", a, b)

@@ -70,21 +70,15 @@ type TestSet struct {
 	Actual  []float64
 }
 
-// NewTestSet draws n uniform random points from testSpace (Table 2 by
-// default when nil), simulates them, and returns the paired data. The
-// generated points are independent of any training sample. Simulation
-// runs on all CPUs; see NewTestSetWorkers for an explicit worker count.
-func NewTestSet(ev Evaluator, testSpace *design.Space, n int, seed int64) *TestSet {
-	return NewTestSetWorkers(ev, testSpace, n, seed, 0)
-}
-
-// NewTestSetWorkers is NewTestSet with an explicit worker count
-// (par.Workers semantics: 1 = serial, <= 0 = all CPUs). The points are
-// drawn serially from the seeded RNG before any simulation starts, and
-// the responses are filled through the same fixed-slot evalAll path the
-// training sample uses, so the test set is identical for every worker
-// count.
-func NewTestSetWorkers(ev Evaluator, testSpace *design.Space, n int, seed int64, workers int) *TestSet {
+// NewTestSetWorkers draws n uniform random points from testSpace
+// (Table 2 by default when nil), simulates them with workers goroutines
+// (par.Workers semantics: 1 = serial, <= 0 = all CPUs), and returns the
+// paired data. The points are independent of any training sample and
+// drawn serially from the seeded RNG before any simulation starts; the
+// responses fill fixed slots through the training sample's evalAll
+// path, so the test set is identical for every worker count. An
+// evaluator error is returned instead of a test set.
+func NewTestSetWorkers(ctx context.Context, ev Evaluator, testSpace *design.Space, n int, seed int64, workers int) (*TestSet, error) {
 	defer obs.StartSpan("core.testset")()
 	if testSpace == nil {
 		testSpace = design.TestSpace()
@@ -101,8 +95,12 @@ func NewTestSetWorkers(ev Evaluator, testSpace *design.Space, n int, seed int64,
 	for i, p := range pts {
 		ts.Configs[i] = testSpace.Decode(p, n)
 	}
-	evalAll(context.Background(), ev, ts.Configs, ts.Actual, par.Workers(workers))
-	return ts
+	// Test points stay off ctx's trace: core.sim_point covers training
+	// points only.
+	if err := evalAll(obs.WithTrace(ctx, nil), ev, ts.Configs, ts.Actual, par.Workers(workers)); err != nil {
+		return nil, fmt.Errorf("core: evaluating the test set: %w", err)
+	}
+	return ts, nil
 }
 
 // predictor is any model that can score a concrete configuration once
@@ -154,7 +152,8 @@ type BuildResult struct {
 // sample sizes until the mean test error drops to targetMeanPct (or the
 // sizes are exhausted), returning every intermediate result. A non-nil
 // error is returned if the inputs are unusable (nil evaluator or test
-// set, no sizes) or if no size produced a model at all.
+// set, no sizes), if the evaluator failed, or if no size produced a
+// model at all.
 func BuildToAccuracy(ev Evaluator, sizes []int, targetMeanPct float64, ts *TestSet, opt Options) ([]BuildResult, error) {
 	return BuildToAccuracyFromCtx(context.Background(), ev, 0, sizes, targetMeanPct, ts, opt)
 }
@@ -164,10 +163,10 @@ func BuildToAccuracy(ev Evaluator, sizes []int, targetMeanPct float64, ts *TestS
 // caller that already serves a model of a given size (a retraining
 // controller) escalates past it instead of rebuilding cheaper models it
 // has already outgrown. above <= 0 builds every size, making
-// BuildToAccuracy the special case of a fresh start. Cancelling ctx
-// stops the escalation at the next size boundary; the results built so
-// far are returned alongside ctx.Err() so the caller can distinguish a
-// completed escalation (nil error) from an interrupted one.
+// BuildToAccuracy the special case of a fresh start. A size whose fit
+// fails is skipped. An evaluator error (ctx's included) stops the
+// escalation and is returned, wrapped, with the results built before
+// it; a nil error means the escalation completed.
 func BuildToAccuracyFromCtx(ctx context.Context, ev Evaluator, above int, sizes []int, targetMeanPct float64, ts *TestSet, opt Options) ([]BuildResult, error) {
 	if ev == nil {
 		return nil, errors.New("core: BuildToAccuracy requires a non-nil evaluator")
@@ -194,6 +193,9 @@ func BuildToAccuracyFromCtx(ctx context.Context, ev Evaluator, above int, sizes 
 			return out, err
 		}
 		m, err := BuildRBFModelCtx(ctx, ev, size, opt)
+		if errors.As(err, new(evalError)) {
+			return out, err
+		}
 		if err != nil {
 			lastErr = err
 			continue

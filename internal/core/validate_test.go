@@ -2,9 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"predperf/internal/design"
 )
 
 func TestErrorStatsSkipsZeroActuals(t *testing.T) {
@@ -49,7 +53,7 @@ func TestErrorStatsUnchangedOnCleanInput(t *testing.T) {
 
 func TestBuildToAccuracyRejectsBadInputs(t *testing.T) {
 	ev := FuncEvaluator(syntheticCPI)
-	ts := NewTestSet(ev, nil, 10, 3)
+	ts := mustTestSet(t, ev, 10, 3)
 
 	// Nil test set used to panic inside Validate.
 	if _, err := BuildToAccuracy(ev, []int{20}, 5, nil, fastOpt()); err == nil ||
@@ -84,7 +88,7 @@ func TestBuildToAccuracyRejectsBadInputs(t *testing.T) {
 // and floor 0 reproduces the fresh-start behavior.
 func TestBuildToAccuracyFromCtxResumeFloor(t *testing.T) {
 	ev := FuncEvaluator(syntheticCPI)
-	ts := NewTestSet(ev, nil, 10, 3)
+	ts := mustTestSet(t, ev, 10, 3)
 
 	// Floor 20 skips the 15- and 20-point builds; the impossible target
 	// forces every eligible size to run.
@@ -125,7 +129,7 @@ func TestBuildToAccuracyFromCtxResumeFloor(t *testing.T) {
 // escalation and surfaces ctx.Err.
 func TestBuildToAccuracyFromCtxCancel(t *testing.T) {
 	ev := FuncEvaluator(syntheticCPI)
-	ts := NewTestSet(ev, nil, 10, 3)
+	ts := mustTestSet(t, ev, 10, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := BuildToAccuracyFromCtx(ctx, ev, 0, []int{15, 20}, 5, ts, fastOpt())
@@ -134,5 +138,52 @@ func TestBuildToAccuracyFromCtxCancel(t *testing.T) {
 	}
 	if len(res) != 0 {
 		t.Fatalf("pre-cancelled escalation built %d models, want 0", len(res))
+	}
+}
+
+var errFarmDown = errors.New("farm down")
+
+// failAfter answers syntheticCPI for its first limit configurations and
+// fails every later Eval call with errFarmDown.
+type failAfter struct {
+	limit int64
+	n     atomic.Int64
+}
+
+func (f *failAfter) Eval(ctx context.Context, cfgs []design.Config) ([]float64, error) {
+	if f.n.Add(int64(len(cfgs))) > f.limit {
+		return nil, errFarmDown
+	}
+	return FuncEvaluator(syntheticCPI).Eval(ctx, cfgs)
+}
+
+// TestEvalErrorsReachTheCaller: every stage that evaluates returns the
+// evaluator's error (matched with errors.Is) instead of a value built on
+// missing responses.
+func TestEvalErrorsReachTheCaller(t *testing.T) {
+	if _, err := NewTestSetWorkers(context.Background(), &failAfter{limit: 5}, nil, 10, 3, 0); !errors.Is(err, errFarmDown) {
+		t.Fatalf("NewTestSet over a failing evaluator: err %v, want errFarmDown", err)
+	}
+	if m, err := BuildRBFModelCtx(context.Background(), &failAfter{limit: 5}, 15, fastOpt()); !errors.Is(err, errFarmDown) || m != nil {
+		t.Fatalf("BuildRBFModelCtx over a failing evaluator: model %v, err %v; want no model and errFarmDown", m, err)
+	}
+	if m, err := BuildLinearModelCtx(context.Background(), &failAfter{limit: 5}, 15, fastOpt()); !errors.Is(err, errFarmDown) || m != nil {
+		t.Fatalf("BuildLinearModelCtx over a failing evaluator: model %v, err %v; want no model and errFarmDown", m, err)
+	}
+}
+
+// TestBuildToAccuracyFromCtxStopsOnEvalError: an evaluator failure at a
+// later size ends the escalation with that error, even though an
+// earlier size built, while a size that fails for another reason (here
+// one too small to build) is skipped as before.
+func TestBuildToAccuracyFromCtxStopsOnEvalError(t *testing.T) {
+	ts := mustTestSet(t, FuncEvaluator(syntheticCPI), 10, 3)
+	ev := &failAfter{limit: 15} // the 15-point sample, nothing more
+	res, err := BuildToAccuracyFromCtx(context.Background(), ev, 0, []int{3, 15, 20}, 0, ts, fastOpt())
+	if !errors.Is(err, errFarmDown) {
+		t.Fatalf("escalation over a farm that fails after one size: err %v, want errFarmDown", err)
+	}
+	if len(res) != 1 || res[0].Model.SampleSize != 15 {
+		t.Fatalf("escalation returned %d results, want the one 15-point build", len(res))
 	}
 }

@@ -9,7 +9,9 @@
 package doe
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 
@@ -85,7 +87,7 @@ func Screen(ev core.Evaluator, space *design.Space, foldover bool) (*Screening, 
 	if foldover {
 		m = Foldover(m)
 	}
-	responses := make([]float64, len(m))
+	cfgs := make([]design.Config, len(m))
 	for r, row := range m {
 		pt := make(design.Point, k)
 		for c := 0; c < k; c++ {
@@ -95,7 +97,11 @@ func Screen(ev core.Evaluator, space *design.Space, foldover bool) (*Screening, 
 				pt[c] = 0 // the Low (hostile) endpoint
 			}
 		}
-		responses[r] = ev.Eval(space.Decode(pt, 2))
+		cfgs[r] = space.Decode(pt, 2)
+	}
+	responses, err := ev.Eval(context.TODO(), cfgs)
+	if err != nil {
+		return nil, fmt.Errorf("doe: simulating the design: %w", err)
 	}
 	sc := &Screening{Runs: len(m)}
 	for c := 0; c < k; c++ {

@@ -1,16 +1,17 @@
 // Package evaltest is a conformance suite for core.Evaluator
 // implementations. The Evaluator interface is the seam the whole
 // pipeline hangs off — model builds, validation, search verification,
-// shadow re-simulation, retraining — so every implementation (the
-// in-process core.SimEvaluator, the farm-backed cluster.RemoteEvaluator)
-// must honor the same contract: deterministic values, coherent
-// memoization, single-flight de-duplication of concurrent misses, and
-// well-defined failure behavior. The suite runs against a Harness so
-// each package exercises its own construction without import cycles.
+// shadow re-simulation, retraining — so every implementation must honor
+// the same contract: deterministic values in input order, coherent
+// memoization, single-flight de-duplication of concurrent misses, batch
+// calls identical to per-config calls, and a cancelled context answered
+// with its error. The suite runs against a Harness so each package
+// exercises its own construction without import cycles.
 package evaltest
 
 import (
-	"math"
+	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -27,12 +28,6 @@ type Harness struct {
 	// (core.SimEvaluator.Simulations / cluster.RemoteEvaluator
 	// .Simulations). nil skips the cost-accounting assertions.
 	Sims func(ev core.Evaluator) int
-	// Canceled, when non-nil, returns an evaluator whose context (or
-	// equivalent lifetime) is already over, plus the error surface to
-	// inspect afterward. The suite asserts Eval degrades to NaN and the
-	// error is reported rather than swallowed. nil skips the subtest
-	// (core.SimEvaluator has no cancellation surface).
-	Canceled func(t *testing.T) (ev core.Evaluator, err func() error)
 }
 
 // Configs returns n distinct valid design points, deterministically.
@@ -61,9 +56,28 @@ func Run(t *testing.T, h Harness) {
 	t.Run("cache_coherence", func(t *testing.T) { cacheCoherence(t, h) })
 	t.Run("single_flight", func(t *testing.T) { singleFlight(t, h) })
 	t.Run("distinct_configs", func(t *testing.T) { distinctConfigs(t, h) })
-	if h.Canceled != nil {
-		t.Run("cancellation", func(t *testing.T) { cancellation(t, h) })
+	t.Run("batch_matches_singles", func(t *testing.T) { batchMatchesSingles(t, h) })
+	t.Run("cancellation", func(t *testing.T) { cancellation(t, h) })
+}
+
+// One evaluates a single configuration, failing the test on an error.
+func One(t testing.TB, ev core.Evaluator, cfg design.Config) float64 {
+	t.Helper()
+	return All(t, ev, []design.Config{cfg})[0]
+}
+
+// All evaluates cfgs in one call, failing the test on an error or on a
+// value count that does not match.
+func All(t testing.TB, ev core.Evaluator, cfgs []design.Config) []float64 {
+	t.Helper()
+	vals, err := ev.Eval(context.Background(), cfgs)
+	if err != nil {
+		t.Fatalf("Eval of %d configs: %v", len(cfgs), err)
 	}
+	if len(vals) != len(cfgs) {
+		t.Fatalf("Eval returned %d values for %d configs", len(vals), len(cfgs))
+	}
+	return vals
 }
 
 // deterministic: the same configuration yields the same bits — within
@@ -72,14 +86,11 @@ func deterministic(t *testing.T, h Harness) {
 	cfgs := Configs(4)
 	a, b := h.New(t), h.New(t)
 	for _, cfg := range cfgs {
-		v1 := a.Eval(cfg)
-		if math.IsNaN(v1) {
-			t.Fatalf("Eval(%v) = NaN on the happy path", cfg)
-		}
-		if v2 := a.Eval(cfg); v2 != v1 {
+		v1 := One(t, a, cfg)
+		if v2 := One(t, a, cfg); v2 != v1 {
 			t.Fatalf("same evaluator disagreed with itself: %v then %v", v1, v2)
 		}
-		if v3 := b.Eval(cfg); v3 != v1 {
+		if v3 := One(t, b, cfg); v3 != v1 {
 			t.Fatalf("fresh evaluator disagreed: %v vs %v", v3, v1)
 		}
 	}
@@ -92,7 +103,7 @@ func cacheCoherence(t *testing.T, h Harness) {
 	cfgs := Configs(12)
 	first := make([]float64, len(cfgs))
 	for i, cfg := range cfgs {
-		first[i] = ev.Eval(cfg)
+		first[i] = One(t, ev, cfg)
 	}
 	var before int
 	if h.Sims != nil {
@@ -102,7 +113,7 @@ func cacheCoherence(t *testing.T, h Harness) {
 		}
 	}
 	for i := len(cfgs) - 1; i >= 0; i-- {
-		if got := ev.Eval(cfgs[i]); got != first[i] {
+		if got := One(t, ev, cfgs[i]); got != first[i] {
 			t.Fatalf("config %d: cached value %v != first value %v", i, got, first[i])
 		}
 	}
@@ -119,7 +130,8 @@ func singleFlight(t *testing.T, h Harness) {
 	ev := h.New(t)
 	cfg := Configs(1)[0]
 	const workers = 32
-	got := make([]float64, workers)
+	got := make([][]float64, workers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i := 0; i < workers; i++ {
@@ -127,14 +139,14 @@ func singleFlight(t *testing.T, h Harness) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			got[i] = ev.Eval(cfg)
+			got[i], errs[i] = ev.Eval(context.Background(), []design.Config{cfg})
 		}(i)
 	}
 	close(start)
 	wg.Wait()
-	for i := 1; i < workers; i++ {
-		if got[i] != got[0] {
-			t.Fatalf("worker %d saw %v, worker 0 saw %v", i, got[i], got[0])
+	for i := range got {
+		if errs[i] != nil || got[i][0] != got[0][0] {
+			t.Fatalf("worker %d saw %v (err %v), worker 0 saw %v", i, got[i], errs[i], got[0])
 		}
 	}
 	if h.Sims != nil {
@@ -151,7 +163,7 @@ func distinctConfigs(t *testing.T, h Harness) {
 	cfgs := Configs(16)
 	seen := map[string]float64{}
 	for _, cfg := range cfgs {
-		seen[cfg.Key()] = ev.Eval(cfg)
+		seen[cfg.Key()] = One(t, ev, cfg)
 	}
 	if len(seen) != len(cfgs) {
 		t.Fatalf("config keys collided: %d unique of %d", len(seen), len(cfgs))
@@ -163,18 +175,30 @@ func distinctConfigs(t *testing.T, h Harness) {
 	}
 }
 
-// cancellation: an evaluator whose lifetime is over answers NaN (the
-// interface has no error channel) and reports the failure out-of-band
-// instead of hanging or fabricating a value.
+// batchMatchesSingles: one Eval call over a working set with a repeated
+// configuration is positionally bit-identical to per-config calls on a
+// fresh evaluator, and pays one simulation per distinct configuration.
+func batchMatchesSingles(t *testing.T, h Harness) {
+	cfgs := append(Configs(10), Configs(4)[3])
+	batchEv, single := h.New(t), h.New(t)
+	for i, v := range All(t, batchEv, cfgs) {
+		if want := One(t, single, cfgs[i]); v != want {
+			t.Fatalf("config %d: batch value %v != single value %v", i, v, want)
+		}
+	}
+	if h.Sims != nil {
+		if n := h.Sims(batchEv); n != len(cfgs)-1 {
+			t.Fatalf("a batch of %d distinct configs paid %d simulations", len(cfgs)-1, n)
+		}
+	}
+}
+
+// cancellation: Eval under a cancelled context answers the context's
+// error and no values, instead of hanging or fabricating a value.
 func cancellation(t *testing.T, h Harness) {
-	ev, errFn := h.Canceled(t)
-	if v := ev.Eval(Configs(1)[0]); !math.IsNaN(v) {
-		t.Fatalf("canceled evaluator answered %v, want NaN", v)
-	}
-	if errFn == nil {
-		t.Fatal("harness returned no error surface")
-	}
-	if err := errFn(); err == nil {
-		t.Fatal("canceled evaluator reported no error")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if vals, err := h.New(t).Eval(ctx, Configs(2)); !errors.Is(err, context.Canceled) || vals != nil {
+		t.Fatalf("cancelled Eval returned %v, %v; want no values and context.Canceled", vals, err)
 	}
 }

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -54,7 +55,10 @@ func RunAblations(r *Runner, bench string) (*Ablations, error) {
 
 	// A second test set spanning the full Table 1 ranges, where edge
 	// coverage matters.
-	wide := core.NewTestSet(ev, space, r.Scale.TestPoints, r.Scale.Seed+913)
+	wide, err := core.NewTestSetWorkers(context.TODO(), ev, space, r.Scale.TestPoints, r.Scale.Seed+913, 0)
+	if err != nil {
+		return nil, err
+	}
 
 	// Shared helper: validate an rbf.Network against a test set.
 	validateOn := func(net *rbf.Network, set *core.TestSet) float64 {
@@ -103,7 +107,7 @@ func RunAblations(r *Runner, bench string) (*Ablations, error) {
 		for i, p := range raw {
 			cfg := space.Decode(p, size)
 			xs[i] = space.Encode(cfg)
-			ys[i] = ev.Eval(cfg)
+			ys[i], _ = ev.EvalRan(cfg)
 		}
 		randFit, err := rbf.Fit(xs, ys, r.Scale.RBF)
 		if err != nil {

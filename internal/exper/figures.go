@@ -40,7 +40,7 @@ func RunFigure1(r *Runner, bench string) (*Figure1, error) {
 		cfg := base
 		cfg.IL1SizeKB = out.IL1KB[i]
 		cfg.L2Lat = out.L2Lat[j]
-		out.CPI[i][j] = ev.Eval(cfg)
+		out.CPI[i][j], _ = ev.EvalRan(cfg)
 	})
 	return out, nil
 }
@@ -247,7 +247,7 @@ func RunFigure6(r *Runner, bench string) (*Figure6, error) {
 		cfg := base
 		cfg.IL1SizeKB = out.IL1KB[i]
 		cfg.L2Lat = out.L2Lat[j]
-		out.Simulated[i][j] = ev.Eval(cfg)
+		out.Simulated[i][j], _ = ev.EvalRan(cfg)
 		out.Predicted[i][j] = m.PredictConfig(cfg)
 	})
 	return out, nil

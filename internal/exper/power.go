@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -49,7 +50,10 @@ func RunPowerTable(r *Runner) (*PowerTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		edpTS := core.NewTestSet(edpEv, nil, r.Scale.TestPoints, r.Scale.Seed+77)
+		edpTS, err := core.NewTestSetWorkers(context.TODO(), edpEv, nil, r.Scale.TestPoints, r.Scale.Seed+77, 0)
+		if err != nil {
+			return nil, err
+		}
 		est := edpM.Validate(edpTS)
 		out.Rows = append(out.Rows, PowerRow{
 			Benchmark:  bench,

@@ -1,6 +1,7 @@
 package exper
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -84,7 +85,7 @@ func (r *Runner) TestSet(bench string) (*core.TestSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.NewTestSetWorkers(ev, nil, r.Scale.TestPoints, r.Scale.Seed+77, r.Scale.Workers), nil
+		return core.NewTestSetWorkers(context.TODO(), ev, nil, r.Scale.TestPoints, r.Scale.Seed+77, r.Scale.Workers)
 	})
 }
 

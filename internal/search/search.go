@@ -12,6 +12,7 @@
 package search
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -61,9 +62,13 @@ type Candidate struct {
 	Actual    float64
 }
 
+// ErrVerify is wrapped, with the evaluator's error, by a Minimize that
+// could not verify its shortlist.
+var ErrVerify = errors.New("search: verifying the shortlist failed")
+
 // Minimize finds the feasible configuration with the lowest response.
-// The model ranks candidates; ev verifies the shortlist.
-func Minimize(model Predictor, ev core.Evaluator, opt Options) (*Result, error) {
+// The model ranks candidates; ev verifies the shortlist in one Eval call.
+func Minimize(ctx context.Context, model Predictor, ev core.Evaluator, opt Options) (*Result, error) {
 	if model == nil || ev == nil {
 		return nil, errors.New("search: model and evaluator are required")
 	}
@@ -109,10 +114,18 @@ func Minimize(model Predictor, ev core.Evaluator, opt Options) (*Result, error) 
 	if len(top) == 0 {
 		return nil, errors.New("search: no feasible candidates")
 	}
+	cfgs := make([]design.Config, len(top))
+	for i, s := range top {
+		cfgs[i] = s.cfg
+	}
+	actuals, err := ev.Eval(ctx, cfgs)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrVerify, err)
+	}
 	best := math.Inf(1)
-	for _, s := range top {
-		actual := ev.Eval(s.cfg)
-		res.Verified++
+	res.Verified = len(top)
+	for i, s := range top {
+		actual := actuals[i]
 		res.Shortlist = append(res.Shortlist, Candidate{Config: s.cfg, Predicted: s.v, Actual: actual})
 		if actual < best {
 			best = actual

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -29,7 +30,7 @@ func (biasedModel) PredictConfig(c design.Config) float64 {
 
 func TestMinimizeFindsNearOptimal(t *testing.T) {
 	ev := core.FuncEvaluator(truth)
-	res, err := Minimize(biasedModel{}, ev, Options{GridLevels: 3, Shortlist: 6})
+	res, err := Minimize(context.Background(), biasedModel{}, ev, Options{GridLevels: 3, Shortlist: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestMinimizeFindsNearOptimal(t *testing.T) {
 
 func TestMinimizeRespectsConstraint(t *testing.T) {
 	ev := core.FuncEvaluator(truth)
-	res, err := Minimize(biasedModel{}, ev, Options{
+	res, err := Minimize(context.Background(), biasedModel{}, ev, Options{
 		GridLevels: 3,
 		Constraint: func(c design.Config) bool { return c.L2SizeKB <= 1024 },
 	})
@@ -79,7 +80,7 @@ func TestMinimizeRespectsConstraint(t *testing.T) {
 
 func TestMinimizeInfeasible(t *testing.T) {
 	ev := core.FuncEvaluator(truth)
-	_, err := Minimize(biasedModel{}, ev, Options{
+	_, err := Minimize(context.Background(), biasedModel{}, ev, Options{
 		GridLevels: 2,
 		Constraint: func(design.Config) bool { return false },
 	})
@@ -94,7 +95,7 @@ func TestMinimizeExplicitCandidates(t *testing.T) {
 		{PipeDepth: 24, ROBSize: 24, IQSize: 12, LSQSize: 12, L2SizeKB: 256, L2Lat: 20, IL1SizeKB: 8, DL1SizeKB: 8, DL1Lat: 4},
 		{PipeDepth: 7, ROBSize: 128, IQSize: 64, LSQSize: 64, L2SizeKB: 8192, L2Lat: 5, IL1SizeKB: 64, DL1SizeKB: 64, DL1Lat: 1},
 	}
-	res, err := Minimize(biasedModel{}, ev, Options{Candidates: cands, Shortlist: 2})
+	res, err := Minimize(context.Background(), biasedModel{}, ev, Options{Candidates: cands, Shortlist: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestEnumerateGridDedupes(t *testing.T) {
 }
 
 func TestMinimizeNilArgs(t *testing.T) {
-	if _, err := Minimize(nil, nil, Options{}); err == nil {
+	if _, err := Minimize(context.Background(), nil, nil, Options{}); err == nil {
 		t.Fatal("expected error for nil model/evaluator")
 	}
 }
@@ -136,7 +137,7 @@ func TestMinimizeDegenerateSpace(t *testing.T) {
 		{}, // empty
 		{Params: []design.Param{{Name: "voltage", Low: 0.8, High: 1.2, Levels: 3}}},
 	} {
-		_, err := Minimize(biasedModel{}, ev, Options{Space: space})
+		_, err := Minimize(context.Background(), biasedModel{}, ev, Options{Space: space})
 		if err == nil {
 			t.Fatalf("space %v: want an error, got nil", space)
 		}
@@ -150,11 +151,11 @@ func TestMinimizeZeroBudget(t *testing.T) {
 	ev := core.FuncEvaluator(truth)
 	// An explicitly empty candidate list is a zero-budget search: a
 	// clear error, not a panic or a fabricated winner.
-	if _, err := Minimize(biasedModel{}, ev, Options{Candidates: []design.Config{}}); err == nil {
+	if _, err := Minimize(context.Background(), biasedModel{}, ev, Options{Candidates: []design.Config{}}); err == nil {
 		t.Fatal("want an error for an empty candidate list")
 	}
 	// A constraint that rejects everything is equivalent.
-	_, err := Minimize(biasedModel{}, ev, Options{
+	_, err := Minimize(context.Background(), biasedModel{}, ev, Options{
 		GridLevels: 2,
 		Constraint: func(design.Config) bool { return false },
 	})
@@ -162,7 +163,7 @@ func TestMinimizeZeroBudget(t *testing.T) {
 		t.Fatal("want an error when every candidate is infeasible")
 	}
 	// Nonsense budgets fall back to defaults rather than failing.
-	res, err := Minimize(biasedModel{}, ev, Options{GridLevels: -3, Shortlist: -1})
+	res, err := Minimize(context.Background(), biasedModel{}, ev, Options{GridLevels: -3, Shortlist: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -487,7 +486,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		if sim, err := entry.simEvaluator(s.opt.SearchTraceLen); err == nil {
 			ev, verifiedBy = sim, "simulator"
 		} else {
-			ev, verifiedBy = modelEvaluator{entry.Model}, "model"
+			ev, verifiedBy = core.FuncEvaluator(entry.Model.PredictConfig), "model"
 		}
 	case "sim":
 		sim, err := entry.simEvaluator(s.opt.SearchTraceLen)
@@ -498,25 +497,24 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		ev, verifiedBy = sim, "simulator"
 	case "model":
-		ev, verifiedBy = modelEvaluator{entry.Model}, "model"
+		ev, verifiedBy = core.FuncEvaluator(entry.Model.PredictConfig), "model"
 	default:
 		writeErr(w, http.StatusBadRequest, "bad_request",
 			`"verify" must be "auto", "sim", or "model", got %q`, req.Verify)
 		return
 	}
 	cSearches.Inc()
-	// A pool-backed evaluator is re-bound to the request context so its
-	// worker hops carry this request's trace (or its unsampled identity).
-	if b, ok := ev.(interface {
-		Bind(context.Context) core.Evaluator
-	}); ok {
-		ev = b.Bind(ctx)
-	}
-	res, err := search.Minimize(entry.Model, ev, search.Options{
+	// A pool-backed evaluator's worker hops carry this request's trace
+	// (or its unsampled identity) and stop when the client goes away.
+	res, err := search.Minimize(ctx, entry.Model, ev, search.Options{
 		Space:      entry.Model.Space,
 		GridLevels: req.GridLevels,
 		Shortlist:  req.Shortlist,
 	})
+	if errors.Is(err, search.ErrVerify) {
+		writeErr(w, http.StatusBadGateway, "verify_failed", "%v", err)
+		return
+	}
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, "search_failed", "%v", err)
 		return

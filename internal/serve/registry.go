@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"predperf/internal/core"
-	"predperf/internal/design"
 	"predperf/internal/obs"
 )
 
@@ -110,14 +109,6 @@ func (e *Entry) simEvaluator(traceLen int) (core.Evaluator, error) {
 	e.simEv, e.simErr = ev, nil
 	return ev, nil
 }
-
-// modelEvaluator verifies a search shortlist with the model itself,
-// the fallback when an entry has no simulator-backed workload. The
-// "verification" is then a no-op ranking confirmation: predicted and
-// actual coincide by construction.
-type modelEvaluator struct{ m *core.Model }
-
-func (e modelEvaluator) Eval(cfg design.Config) float64 { return e.m.PredictConfig(cfg) }
 
 // Registry is the named, RWMutex-guarded set of models the server can
 // predict against. Reads (every predict) take the read lock only; hot

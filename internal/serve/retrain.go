@@ -276,11 +276,6 @@ func (c *retrainController) retrain(ctx context.Context, e *Entry, attempt int64
 	if err != nil {
 		return retrainOutcomeNoEvaluator, 0, err
 	}
-	// A fresh independent test set in the serving model's space drives
-	// the escalation's stopping rule, exactly as in the paper; its
-	// simulations are memoized in the evaluator shared with the shadow
-	// monitor, so repeated attempts re-simulate nothing.
-	ts := core.NewTestSetWorkers(ev, e.Model.Space, c.testPoints, retrainTestSeed, c.workers)
 	opt := core.Options{
 		Space:    e.Model.Space,
 		Parallel: c.workers,
@@ -290,13 +285,23 @@ func (c *retrainController) retrain(ctx context.Context, e *Entry, attempt int64
 		// loop must not do.
 		Seed: retrainTestSeed + attempt,
 	}
-	results, err := c.build(ctx, ev, e.Model.SampleSize, c.sizesFor(e.Model.SampleSize), c.targetPct, ts, opt)
-	if len(results) == 0 || (err != nil && ctx.Err() != nil) {
+	// A fresh independent test set in the serving model's space drives
+	// the escalation's stopping rule, exactly as in the paper; its
+	// simulations are memoized in the evaluator shared with the shadow
+	// monitor, so repeated attempts re-simulate nothing.
+	ts, err := core.NewTestSetWorkers(ctx, ev, e.Model.Space, c.testPoints, retrainTestSeed, c.workers)
+	var results []core.BuildResult
+	if err == nil {
+		results, err = c.build(ctx, ev, e.Model.SampleSize, c.sizesFor(e.Model.SampleSize), c.targetPct, ts, opt)
+	}
+	if err == nil && len(results) == 0 {
+		err = fmt.Errorf("serve: retrain built no model")
+	}
+	// Any evaluator or build error fails the attempt, even with results
+	// in hand: an escalation the farm broke off must not swap in a model.
+	if err != nil {
 		if ctx.Err() != nil {
 			return retrainOutcomeCanceled, 0, ctx.Err()
-		}
-		if err == nil {
-			err = fmt.Errorf("serve: retrain built no model")
 		}
 		return retrainOutcomeBuildFailed, 0, err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"predperf/internal/cluster"
 	"predperf/internal/core"
+	"predperf/internal/design"
 	"predperf/internal/obs"
 	"predperf/internal/rbf"
 )
@@ -618,5 +621,132 @@ func TestRetrainLifecycle(t *testing.T) {
 	}
 	if leftovers, _ := filepath.Glob(filepath.Join(dir, ".retrain-*")); len(leftovers) != 0 {
 		t.Fatalf("temp files left behind: %v", leftovers)
+	}
+}
+
+var errFarmDown = errors.New("farm down")
+
+// flakyFarm answers syntheticCPI for the configurations whose call
+// number (counted per configuration, from 1) satisfies up, and fails
+// the Eval call otherwise: a simulator farm going down and up. Like
+// every evaluator it answers a done ctx with ctx's error.
+type flakyFarm struct {
+	mu sync.Mutex
+	n  int
+	up func(n int) bool
+}
+
+func (f *flakyFarm) Eval(ctx context.Context, cfgs []design.Config) ([]float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	f.mu.Lock()
+	ok := true
+	for range cfgs {
+		f.n++
+		ok = ok && f.up(f.n)
+	}
+	f.mu.Unlock()
+	if !ok {
+		return nil, errFarmDown
+	}
+	return core.FuncEvaluator(syntheticCPI).Eval(ctx, cfgs)
+}
+
+// TestRetrainEvalFailureFailsBuild covers a farm outage mid-retrain
+// through the real escalation: whether the outage hits the test set
+// (the build's samples would then be answered) or strikes after the
+// test set and the first escalation size, the attempt ends
+// build_failed, generation 1 keeps serving, and nothing is persisted.
+func TestRetrainEvalFailureFailsBuild(t *testing.T) {
+	const testPoints, firstSize = 4, 50
+	for _, tc := range []struct {
+		name  string
+		up    func(n int) bool
+		calls int // configurations asked for, the failing one included
+	}{
+		{"test_set_down", func(n int) bool { return n > testPoints }, 1},
+		{"down_after_first_size", func(n int) bool { return n <= testPoints+firstSize }, testPoints + firstSize + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			obs.Reset()
+			clk := newFakeClock()
+			dir := t.TempDir()
+			reg := NewRegistry(dir)
+			if err := reg.Add("m", buildTestModel(t, "m"), ""); err != nil {
+				t.Fatal(err)
+			}
+			c := stubController(t, clk, reg, Options{
+				RetrainAfter: -1, RetrainTestPoints: testPoints, RetrainWorkers: 1,
+				RetrainSizes: []int{firstSize, firstSize + 10}, RetrainTargetPct: 1e-9,
+			})
+			farm := &flakyFarm{up: tc.up}
+			c.evaluatorFor = func(*Entry, int) (core.Evaluator, error) { return farm, nil }
+			c.consider(clk.now(), firing("m"))
+			c.wait()
+			if farm.n != tc.calls {
+				t.Fatalf("the retrain asked the farm for %d configurations, want %d", farm.n, tc.calls)
+			}
+			if got := retrainCount("m", retrainOutcomeBuildFailed); got != 1 {
+				t.Fatalf("serve.retrains{m,build_failed} = %d (success %d), want 1",
+					got, retrainCount("m", retrainOutcomeSuccess))
+			}
+			if e, _ := reg.Get("m"); e.Generation() != 1 {
+				t.Fatalf("generation %d after a failed retrain, want 1", e.Generation())
+			}
+			if st := c.states(); !strings.Contains(st[0].LastError, errFarmDown.Error()) {
+				t.Fatalf("states after the outage = %+v, want the farm error", st)
+			}
+			if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 0 {
+				t.Fatalf("a failed retrain persisted %v", files)
+			}
+		})
+	}
+}
+
+// TestRetrainStopWhileFarmHangs: stop cancels a retrain whose farm
+// call hangs and returns promptly, instead of waiting out the pool's
+// request timeout on every in-flight call.
+func TestRetrainStopWhileFarmHangs(t *testing.T) {
+	obs.Reset()
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer hang.Close()
+	defer close(release)
+	pool, err := cluster.NewPool([]string{hang.URL}, cluster.PoolOptions{RequestTimeout: time.Minute, MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newFakeClock()
+	reg := NewRegistry("")
+	if err := reg.Add("m", buildTestModel(t, "m"), ""); err != nil {
+		t.Fatal(err)
+	}
+	c := stubController(t, clk, reg, Options{RetrainAfter: -1})
+	c.evaluatorFor = func(e *Entry, traceLen int) (core.Evaluator, error) {
+		return cluster.NewRemoteEvaluator(pool, e.Model.Name, traceLen, cluster.RemoteOptions{}), nil
+	}
+	c.consider(clk.now(), firing("m"))
+	<-entered
+	t0 := time.Now()
+	c.stop()
+	if took := time.Since(t0); took > 2*time.Second {
+		t.Fatalf("stop took %v while a farm call hung, want prompt cancellation", took)
+	}
+	if got := retrainCount("m", retrainOutcomeCanceled); got != 1 {
+		t.Fatalf("serve.retrains{m,canceled} = %d, want 1", got)
+	}
+	if e, _ := reg.Get("m"); e.Generation() != 1 {
+		t.Fatalf("generation %d after a cancelled retrain, want 1", e.Generation())
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"predperf/internal/cluster"
 	"predperf/internal/core"
 	"predperf/internal/design"
 	"predperf/internal/obs"
@@ -197,7 +199,7 @@ func TestEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
-	want, err := search.Minimize(m, modelEvaluator{m}, search.Options{
+	want, err := search.Minimize(context.Background(), m, core.FuncEvaluator(m.PredictConfig), search.Options{
 		Space: m.Space, GridLevels: 3, Shortlist: 4,
 	})
 	if err != nil {
@@ -890,5 +892,36 @@ func TestRegistryNaming(t *testing.T) {
 	}
 	if err := r.Add("nil", nil, ""); err == nil {
 		t.Fatal("Add accepted a nil model")
+	}
+}
+
+// TestSearchVerifyFailure: a simulator-verified search whose farm
+// answers 503 gets a structured 502 verify_failed error, never a 200
+// with a body that could not be encoded. A 5xx also lets predrouter
+// fail over to the next shard.
+func TestSearchVerifyFailure(t *testing.T) {
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "overloaded", http.StatusServiceUnavailable)
+	}))
+	defer down.Close()
+	pool, err := cluster.NewPool([]string{down.URL}, cluster.PoolOptions{MaxAttempts: 2, BaseBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{SimPool: pool, SearchTraceLen: 2000})
+	if err := s.Registry().Add("mcf", buildTestModel(t, "mcf"), ""); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts.URL+"/v1/search", `{"model":"mcf","grid_levels":2,"shortlist":2,"verify":"sim"}`)
+	var e struct {
+		Error apiError `json:"error"`
+	}
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("status %d with a non-JSON body %q: %v", resp.StatusCode, body, err)
+	}
+	if resp.StatusCode != http.StatusBadGateway || e.Error.Code != "verify_failed" {
+		t.Fatalf("search over a failing farm: status %d body %s, want 502 verify_failed", resp.StatusCode, body)
 	}
 }

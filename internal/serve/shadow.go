@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -182,11 +183,12 @@ func (m *shadowMonitor) process(job shadowJob) {
 		cShadowSimFail.Inc()
 		return
 	}
-	actual := sim.Eval(job.cfg)
-	if actual == 0 || math.IsNaN(actual) {
+	vals, err := sim.Eval(context.Background(), []design.Config{job.cfg})
+	if err != nil || vals[0] == 0 {
 		cShadowSimFail.Inc()
 		return
 	}
+	actual := vals[0]
 	errPct := 100 * math.Abs(job.predicted-actual) / math.Abs(actual)
 	m.stats(job.entry.Name).hist.Observe(errPct)
 	cShadowSamples.Inc()

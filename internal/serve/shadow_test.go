@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http/httptest"
@@ -143,7 +144,10 @@ func TestShadowErrorMatchesBuildTimeValidation(t *testing.T) {
 	// Decode∘Encode projection the serve path applies, so the served
 	// config is the config validated here and the shadow path
 	// re-simulates exactly these points.
-	raw := core.NewTestSet(ev, m.Space, 10, 5)
+	raw, err := core.NewTestSetWorkers(context.Background(), ev, m.Space, 10, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := &core.TestSet{
 		Configs: make([]design.Config, len(raw.Configs)),
 		Actual:  make([]float64, len(raw.Configs)),
@@ -151,7 +155,7 @@ func TestShadowErrorMatchesBuildTimeValidation(t *testing.T) {
 	for i, c := range raw.Configs {
 		q := m.Space.Decode(m.Space.Encode(c), m.SampleSize)
 		ts.Configs[i] = q
-		ts.Actual[i] = ev.Eval(q)
+		ts.Actual[i], _ = ev.EvalRan(q)
 	}
 	want := m.Validate(ts)
 	if want.N != len(ts.Configs) {

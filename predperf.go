@@ -52,7 +52,8 @@ func PaperSpace() *Space { return design.PaperSpace() }
 // TestSpace returns the paper's Table 2 restricted validation space.
 func TestSpace() *Space { return design.TestSpace() }
 
-// Evaluator produces CPI at a concrete design point.
+// Evaluator produces CPI at concrete design points: one value per
+// configuration, in input order, or an error and no values.
 type Evaluator = core.Evaluator
 
 // FuncEvaluator adapts a plain function into an Evaluator.
@@ -115,9 +116,9 @@ func BuildLinearCtx(ctx context.Context, ev Evaluator, sampleSize int, opt Optio
 type TestSet = core.TestSet
 
 // NewTestSet draws and simulates n random points (Table 2 space when
-// space is nil).
-func NewTestSet(ev Evaluator, space *Space, n int, seed int64) *TestSet {
-	return core.NewTestSet(ev, space, n, seed)
+// space is nil), or returns the evaluator's error.
+func NewTestSet(ctx context.Context, ev Evaluator, space *Space, n int, seed int64) (*TestSet, error) {
+	return core.NewTestSetWorkers(ctx, ev, space, n, seed, 0)
 }
 
 // ErrorStats are mean/max/std absolute percentage CPI errors.
@@ -146,9 +147,10 @@ type SearchResult = search.Result
 
 // Minimize runs model-guided design-space exploration: the model ranks
 // an enumeration of candidate configurations, and the best-predicted
-// shortlist is verified with real simulation before a winner is chosen.
-func Minimize(model *Model, ev Evaluator, opt SearchOptions) (*SearchResult, error) {
-	return search.Minimize(model, ev, opt)
+// shortlist is verified with real simulation (one Eval call under ctx)
+// before a winner is chosen.
+func Minimize(ctx context.Context, model *Model, ev Evaluator, opt SearchOptions) (*SearchResult, error) {
+	return search.Minimize(ctx, model, ev, opt)
 }
 
 // EnumerateGrid lists candidate configurations on a grid over a design

@@ -1,6 +1,7 @@
 package predperf_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestFacadeSearchFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := predperf.Minimize(m, ev, predperf.SearchOptions{
+	res, err := predperf.Minimize(context.Background(), m, ev, predperf.SearchOptions{
 		GridLevels: 2,
 		Shortlist:  3,
 	})
@@ -82,7 +83,10 @@ func TestFacadeBuildToAccuracy(t *testing.T) {
 	ev := predperf.FuncEvaluator(func(c predperf.Config) float64 {
 		return 1 + 10/float64(c.ROBSize) + float64(c.L2Lat)/20
 	})
-	ts := predperf.NewTestSet(ev, nil, 20, 3)
+	ts, err := predperf.NewTestSet(context.Background(), ev, nil, 20, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := predperf.BuildToAccuracy(ev, []int{20, 40}, 2.0, ts, predperf.Options{LHSCandidates: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -34,6 +34,11 @@ echo "== fuzz /v1/predict bodies =="
 # 200/400/404/413, and every 200 must be bit-identical to the model.
 go test -run=NONE -fuzz=FuzzPredictBody -fuzztime=10s ./internal/serve
 
+echo "== fuzz /v1/eval bodies =="
+# Arbitrary eval bodies must never panic the sim worker, must answer
+# 200/400/413, and every 200 must be bit-identical to a local simulator.
+go test -run=NONE -fuzz=FuzzEvalRequest -fuzztime=10s ./internal/cluster
+
 echo "== benchmark smoke (1 iteration each) =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
